@@ -174,13 +174,30 @@ struct SyncNetwork::Runner {
   std::vector<Staged> outbox;
   std::uint64_t bytes_sent = 0;
   std::uint64_t messages_sent = 0;
-  std::vector<std::string> phase_stack;
-  std::map<std::string, std::uint64_t> phase_bytes;
-  // Leaf-charged companion to phase_bytes: each send counts only in the
-  // innermost open phase (kUnattributedPhase when none), so the values sum
-  // exactly to bytes_sent. Heterogeneous lookup avoids a per-send string.
-  std::map<std::string, std::uint64_t, std::less<>> phase_leaf_bytes;
-  // Phase stack at the moment an unwind first popped it; seals the "where
+  // Phase meter: every phase path this runner has entered, interned as a
+  // tree whose root (node 0) stands for "no phase open". A send adds its
+  // size to the open node only; run_impl derives the leaf view (each node's
+  // own bytes) and the inclusive view (added to every ancestor) at run end.
+  // `kinds` holds the tracer's per-(phase, message kind) counters, flushed
+  // into the tracer's registry at run end too; empty on untraced runs.
+  struct KindTally {
+    const char* kind;
+    std::uint64_t bytes = 0;
+    std::uint64_t messages = 0;
+  };
+  struct PhaseNode {
+    PhaseNode(std::uint32_t parent, std::string_view name)
+        : parent(parent), name(name) {}
+    std::uint32_t parent;
+    std::string name;
+    std::uint64_t bytes = 0;
+    bool sent = false;  // a send (even 0 bytes) was staged here
+    std::vector<std::uint32_t> children;
+    std::vector<KindTally> kinds;
+  };
+  std::vector<PhaseNode> phase_nodes{PhaseNode(0, kUnattributedPhase)};
+  std::uint32_t phase_open = 0;
+  // Phase path at the moment an unwind first popped it; seals the "where
   // did this party die" attribution for PartyOutcome::phase. Cleared at
   // every slice start so protocol-internal caught exceptions don't stick.
   std::string fail_phase;
@@ -646,28 +663,33 @@ std::vector<Envelope> PartyContext::advance() {
   return net_.runner_advance(runner_);
 }
 
-PartyContext::PhaseScope::PhaseScope(PartyContext& ctx, std::string name)
+PartyContext::PhaseScope::PhaseScope(PartyContext& ctx, std::string_view name)
     : ctx_(ctx) {
-  ctx_.net_.runner_push_phase(ctx_.runner_, std::move(name));
+  ctx_.net_.runner_push_phase(ctx_.runner_, name);
 }
 
 PartyContext::PhaseScope::~PhaseScope() {
   ctx_.net_.runner_pop_phase(ctx_.runner_);
 }
 
-void SyncNetwork::set_honest(int id, ProtocolFn fn) {
-  require(id >= 0 && id < n_ && impl_->role_of_party[id] == 0,
-          "SyncNetwork::set_honest: bad or already-assigned id");
-  impl_->role_of_party[id] = 1;
+SyncNetwork::Runner& SyncNetwork::add_runner(int id, bool honest,
+                                             ProtocolFn fn) {
   auto r = std::make_unique<Runner>();
   r->party = id;
-  r->honest = true;
+  r->honest = honest;
   r->fn = std::move(fn);
   const std::size_t idx = impl_->runners.size();
   r->ctx.reset(new PartyContext(
       *this, idx, id,
       Rng::derive_stream_seed(kRunnerSeedDomain, runner_stream_key(id, idx))));
-  impl_->runners.push_back(std::move(r));
+  return *impl_->runners.emplace_back(std::move(r));
+}
+
+void SyncNetwork::set_honest(int id, ProtocolFn fn) {
+  require(id >= 0 && id < n_ && impl_->role_of_party[id] == 0,
+          "SyncNetwork::set_honest: bad or already-assigned id");
+  impl_->role_of_party[id] = 1;
+  add_runner(id, /*honest=*/true, std::move(fn));
 }
 
 void SyncNetwork::set_byzantine(int id,
@@ -686,15 +708,7 @@ void SyncNetwork::set_byzantine_protocol(int id, ProtocolFn fn) {
   require(id >= 0 && id < n_ && impl_->role_of_party[id] == 0,
           "SyncNetwork::set_byzantine_protocol: bad or already-assigned id");
   impl_->role_of_party[id] = 2;
-  auto r = std::make_unique<Runner>();
-  r->party = id;
-  r->honest = false;
-  r->fn = std::move(fn);
-  const std::size_t idx = impl_->runners.size();
-  r->ctx.reset(new PartyContext(
-      *this, idx, id,
-      Rng::derive_stream_seed(kRunnerSeedDomain, runner_stream_key(id, idx))));
-  impl_->runners.push_back(std::move(r));
+  add_runner(id, /*honest=*/false, std::move(fn));
 }
 
 void SyncNetwork::set_byzantine_protocol(int id, ProtocolFn fn,
@@ -712,19 +726,10 @@ void SyncNetwork::set_split_brain(int id, ProtocolFn a, ProtocolFn b,
   for (int p = 0; p < n_; ++p) {
     if (!recipients_of_a.contains(p)) recipients_of_b.insert(p);
   }
-  for (int half = 0; half < 2; ++half) {
-    auto r = std::make_unique<Runner>();
-    r->party = id;
-    r->honest = false;
-    r->allowed = half == 0 ? recipients_of_a : recipients_of_b;
-    r->fn = half == 0 ? std::move(a) : std::move(b);
-    const std::size_t idx = impl_->runners.size();
-    r->ctx.reset(new PartyContext(*this, idx, id,
-                                  Rng::derive_stream_seed(
-                                      kRunnerSeedDomain,
-                                      runner_stream_key(id, idx))));
-    impl_->runners.push_back(std::move(r));
-  }
+  add_runner(id, /*honest=*/false, std::move(a)).allowed =
+      std::move(recipients_of_a);
+  add_runner(id, /*honest=*/false, std::move(b)).allowed =
+      std::move(recipients_of_b);
 }
 
 void SyncNetwork::set_exec_policy(ExecPolicy policy) {
@@ -775,59 +780,56 @@ void SyncNetwork::runner_stage(std::size_t runner_index, int to,
   const std::uint64_t size = payload.size();
   r.bytes_sent += size;
   r.messages_sent += 1;
-  for (const std::string& name : r.phase_stack) {
-    r.phase_bytes[name] += size;
-  }
-  const std::string_view leaf = r.phase_stack.empty()
-                                    ? std::string_view(kUnattributedPhase)
-                                    : std::string_view(r.phase_stack.back());
-  const auto it = r.phase_leaf_bytes.find(leaf);
-  if (it != r.phase_leaf_bytes.end()) {
-    it->second += size;
-  } else {
-    r.phase_leaf_bytes.emplace(std::string(leaf), size);
-  }
+  Runner::PhaseNode& node = r.phase_nodes[r.phase_open];
+  node.bytes += size;
+  node.sent = true;
   if (obs::Tracer* tr = impl_->tracer; tr != nullptr) {
     tr->charge(r.obs_track, size, 1);
     // Per-(party, phase, message-kind) attribution; the party is the track.
-    std::string key;
-    key.reserve(leaf.size() + 16);
-    key += "bytes.";
-    key += leaf;
-    key += '.';
-    key += kind;
-    tr->count(r.obs_track, key, size);
-    key.replace(0, 5, "msgs");
-    tr->count(r.obs_track, key, 1);
+    auto k = std::find_if(node.kinds.begin(), node.kinds.end(),
+                          [kind](const auto& t) { return t.kind == kind; });
+    if (k == node.kinds.end()) k = node.kinds.insert(k, {kind});
+    k->bytes += size;
+    k->messages += 1;
     tr->observe(r.obs_track, "send.bytes", size);
   }
   r.outbox.push_back({to, std::move(payload)});
 }
 
 void SyncNetwork::runner_push_phase(std::size_t runner_index,
-                                    std::string name) {
+                                    std::string_view name) {
   Runner& r = *impl_->runners[runner_index];
   if (obs::Tracer* tr = impl_->tracer; tr != nullptr) {
-    tr->begin(r.obs_track, name, "phase", impl_->current_round);
+    tr->begin(r.obs_track, std::string(name), "phase", impl_->current_round);
   }
-  r.phase_stack.push_back(std::move(name));
+  for (const std::uint32_t child : r.phase_nodes[r.phase_open].children) {
+    if (r.phase_nodes[child].name == name) {
+      r.phase_open = child;
+      return;
+    }
+  }
+  const auto child = static_cast<std::uint32_t>(r.phase_nodes.size());
+  r.phase_nodes[r.phase_open].children.push_back(child);
+  r.phase_nodes.emplace_back(r.phase_open, name);
+  r.phase_open = child;
 }
 
 void SyncNetwork::runner_pop_phase(std::size_t runner_index) {
   Runner& r = *impl_->runners[runner_index];
-  ensure(!r.phase_stack.empty(), "phase pop without matching push");
+  ensure(r.phase_open != 0, "phase pop without matching push");
   if (std::uncaught_exceptions() > 0 && r.fail_phase.empty()) {
     // First pop of a stack unwind (protocol exception, AbortSignal or
-    // CrashSignal): seal the full phase stack as the failure location.
-    for (const std::string& name : r.phase_stack) {
-      if (!r.fail_phase.empty()) r.fail_phase += '/';
-      r.fail_phase += name;
+    // CrashSignal): seal the full phase path as the failure location.
+    for (std::uint32_t id = r.phase_open; id != 0;) {
+      r.fail_phase.insert(0, r.phase_nodes[id].name);
+      id = r.phase_nodes[id].parent;
+      if (id != 0) r.fail_phase.insert(0, 1, '/');
     }
   }
   if (obs::Tracer* tr = impl_->tracer; tr != nullptr) {
     tr->end(r.obs_track);
   }
-  r.phase_stack.pop_back();
+  r.phase_open = r.phase_nodes[r.phase_open].parent;
 }
 
 std::vector<Envelope> SyncNetwork::runner_advance(std::size_t runner_index) {
@@ -959,6 +961,34 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
   const auto end_round_span = [&] {
     if (im.tracer != nullptr) im.tracer->end(im.obs_engine_track);
   };
+  const auto all_finished = [&] {
+    return std::all_of(im.runners.begin(), im.runners.end(), [](auto& r) {
+      return r->state == Runner::State::Finished;
+    });
+  };
+  // Closes the round whose slices just ran and says whether the run goes
+  // on. Guarded mode is the exception barrier: a throwing party is already
+  // parked as Finished-with-error and the run simply continues without it.
+  // Legacy mode aborts the whole run on the first error.
+  const auto close_round = [&] {
+    if (!guarded) {
+      for (auto& r : im.runners) {
+        if (r->error && !failure) failure = r->error;
+      }
+    }
+    if (failure || all_finished()) {
+      end_round_span();
+      return false;
+    }
+    if (rounds >= max_rounds) {
+      timed_out = true;
+    } else if (!im.deliver_round(rounds)) {
+      transport_failed = true;
+      timed_out = true;  // stragglers report as TimedOut below
+    }
+    end_round_span();
+    return !timed_out;
+  };
 
   if (im.fibers) {
     // ---- Fiber backend: every runner is a cooperative fiber; the
@@ -977,11 +1007,6 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
                   static_cast<unsigned>(ptr >> 32),
                   static_cast<unsigned>(ptr & 0xFFFFFFFFu));
     }
-    const auto all_finished = [&] {
-      return std::all_of(im.runners.begin(), im.runners.end(), [](auto& r) {
-        return r->state == Runner::State::Finished;
-      });
-    };
     for (;;) {
       im.current_round = rounds;
       im.begin_slice_faults(rounds);
@@ -999,34 +1024,7 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
           tr->end(rp->obs_slice_track);
         }
       }
-      // Guarded mode is the exception barrier: a throwing party is already
-      // parked as Finished-with-error and the run simply continues without
-      // it. Legacy mode aborts the whole run on the first error.
-      if (!guarded) {
-        for (auto& r : im.runners) {
-          if (r->error && !failure) failure = r->error;
-        }
-        if (failure) {
-          end_round_span();
-          break;
-        }
-      }
-      if (all_finished()) {
-        end_round_span();
-        break;
-      }
-      if (rounds >= max_rounds) {
-        timed_out = true;
-        end_round_span();
-        break;
-      }
-      if (!im.deliver_round(rounds)) {
-        transport_failed = true;
-        timed_out = true;  // stragglers report as TimedOut below
-        end_round_span();
-        break;
-      }
-      end_round_span();
+      if (!close_round()) break;
       ++rounds;
     }
     if (failure || timed_out) {
@@ -1099,11 +1097,6 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
 
     {
       std::unique_lock lk(im.mu);
-      const auto all_finished = [&] {
-        return std::all_of(im.runners.begin(), im.runners.end(), [](auto& r) {
-          return r->state == Runner::State::Finished;
-        });
-      };
       for (;;) {
         im.current_round = rounds;
         im.begin_slice_faults(rounds);
@@ -1114,32 +1107,8 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
           end_round_span();
           break;
         }
-        if (!guarded) {
-          for (auto& r : im.runners) {
-            if (r->error && !failure) failure = r->error;
-          }
-          if (failure) {
-            end_round_span();
-            break;
-          }
-        }
-        if (all_finished()) {
-          end_round_span();
-          break;
-        }
-        if (rounds >= max_rounds) {
-          timed_out = true;
-          end_round_span();
-          break;
-        }
-        // All runners are parked; deliver one round.
-        if (!im.deliver_round(rounds)) {
-          transport_failed = true;
-          timed_out = true;  // stragglers report as TimedOut below
-          end_round_span();
-          break;
-        }
-        end_round_span();
+        // All runners are parked; close (and maybe deliver) the round.
+        if (!close_round()) break;
         ++rounds;
       }
 
@@ -1188,11 +1157,16 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
     if (r->honest) {
       stats.honest_bytes += r->bytes_sent;
       stats.honest_messages += r->messages_sent;
-      for (const auto& [name, bytes] : r->phase_bytes) {
-        stats.honest_bytes_by_phase[name] += bytes;
-      }
-      for (const auto& [name, bytes] : r->phase_leaf_bytes) {
-        stats.phase_breakdown[name] += bytes;
+      // Leaf view: each node's own bytes (the root is kUnattributedPhase).
+      // Inclusive view: the same bytes on every enclosing phase, once per
+      // nesting level, so a name nested in itself counts twice.
+      const auto& nodes = r->phase_nodes;
+      for (std::uint32_t id = 0; id < nodes.size(); ++id) {
+        if (!nodes[id].sent) continue;
+        stats.phase_breakdown[nodes[id].name] += nodes[id].bytes;
+        for (std::uint32_t a = id; a != 0; a = nodes[a].parent) {
+          stats.honest_bytes_by_phase[nodes[a].name] += nodes[id].bytes;
+        }
       }
     }
   }
@@ -1239,6 +1213,17 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
     tr->count(im.obs_engine_track, "payload.bytes_copied",
               stats.payload_bytes_copied);
     tr->count(im.obs_engine_track, "wall.ns", tr->now_ns());
+    for (auto& r : im.runners) {
+      for (Runner::PhaseNode& node : r->phase_nodes) {
+        for (const Runner::KindTally& k : node.kinds) {
+          std::string key = "bytes." + node.name + '.' + k.kind;
+          tr->count(r->obs_track, key, k.bytes);
+          key.replace(0, 5, "msgs");
+          tr->count(r->obs_track, key, k.messages);
+        }
+        node.kinds.clear();
+      }
+    }
   }
   return rep;
 }

@@ -49,6 +49,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/exec_policy.h"
@@ -160,10 +161,11 @@ class PartyContext {
   std::vector<Envelope> advance();
 
   /// RAII scope attributing all bytes sent while open to `name`
-  /// (in addition to any enclosing phases).
+  /// (in addition to any enclosing phases). The name is copied only the
+  /// first time its path is entered.
   class PhaseScope {
    public:
-    explicit PhaseScope(PartyContext& ctx, std::string name);
+    explicit PhaseScope(PartyContext& ctx, std::string_view name);
     ~PhaseScope();
     PhaseScope(const PhaseScope&) = delete;
     PhaseScope& operator=(const PhaseScope&) = delete;
@@ -171,7 +173,7 @@ class PartyContext {
    private:
     PartyContext& ctx_;
   };
-  PhaseScope phase(std::string name) { return PhaseScope(*this, std::move(name)); }
+  PhaseScope phase(std::string_view name) { return PhaseScope(*this, name); }
 
   /// Per-instance deterministic RNG (used by adversarial/protocol-running
   /// corruptions and examples; honest protocol logic never draws from it).
@@ -418,6 +420,7 @@ class SyncNetwork {
   struct Scripted;
   struct Impl;
 
+  Runner& add_runner(int id, bool honest, ProtocolFn fn);
   RunReport run_impl(std::size_t max_rounds, bool guarded,
                      std::exception_ptr* first_error,
                      std::string* failure_reason);
@@ -427,7 +430,7 @@ class SyncNetwork {
   void runner_stage(std::size_t runner_index, int to, Payload payload,
                     const char* kind);
   std::vector<Envelope> runner_advance(std::size_t runner_index);
-  void runner_push_phase(std::size_t runner_index, std::string name);
+  void runner_push_phase(std::size_t runner_index, std::string_view name);
   void runner_pop_phase(std::size_t runner_index);
 
   int n_;

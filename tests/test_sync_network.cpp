@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "adversary/fuzzer.h"
 #include "adversary/strategies.h"
 #include "tests/support.h"
 #include "util/wire.h"
@@ -246,6 +247,181 @@ TEST(SyncNetwork, DeterministicAcrossRuns) {
     return run.outputs;
   };
   EXPECT_EQ(execute(), execute());
+}
+
+// ---- Phase meter semantics. Each test pins both public views in full
+// (RunStats::phase_breakdown is leaf-charged, honest_bytes_by_phase is
+// inclusive) plus PartyOutcome::phase, the path a failing party died in.
+
+using PhaseBytes = std::map<std::string, std::uint64_t>;
+
+TEST(SyncNetworkPhaseMeter, NameNestedInsideItselfCountsTwiceInclusive) {
+  SyncNetwork net(2, 0);
+  for (int id = 0; id < 2; ++id) {
+    net.set_honest(id, [](PartyContext& ctx) {
+      auto outer = ctx.phase("a");
+      ctx.send_all(Bytes(3, 0));
+      auto inner = ctx.phase("a");
+      ctx.send_all(Bytes(5, 0));
+      for (;;) (void)ctx.advance();
+    });
+  }
+  const RunReport rep = net.run_report(/*max_rounds=*/3);
+  // Per party: 2 x 3 bytes in the outer "a", 2 x 5 in the inner one.
+  EXPECT_EQ(rep.stats.phase_breakdown, (PhaseBytes{{"a", 2 * (6 + 10)}}));
+  EXPECT_EQ(rep.stats.honest_bytes_by_phase,
+            (PhaseBytes{{"a", 2 * (6 + 2 * 10)}}));
+  for (const PartyOutcome& o : rep.outcomes) {
+    EXPECT_EQ(o.outcome, Outcome::kTimedOut);
+    EXPECT_EQ(o.phase, "a/a");
+  }
+}
+
+TEST(SyncNetworkPhaseMeter, OneLeafNameUnderTwoParents) {
+  SyncNetwork net(2, 0);
+  for (int id = 0; id < 2; ++id) {
+    net.set_honest(id, [id](PartyContext& ctx) {
+      {
+        auto x = ctx.phase("x");
+        auto leaf = ctx.phase("leaf");
+        ctx.send_all(Bytes(4, 0));
+      }
+      auto y = ctx.phase("y");
+      auto leaf = ctx.phase("leaf");
+      ctx.send_all(Bytes(6, 0));
+      if (id == 1) throw Error("boom");
+      (void)ctx.advance();
+    });
+  }
+  const RunReport rep = net.run_report();
+  EXPECT_EQ(rep.stats.phase_breakdown, (PhaseBytes{{"leaf", 2 * 2 * 10}}));
+  EXPECT_EQ(rep.stats.honest_bytes_by_phase,
+            (PhaseBytes{{"leaf", 40}, {"x", 2 * 2 * 4}, {"y", 2 * 2 * 6}}));
+  EXPECT_EQ(rep.outcomes[0].outcome, Outcome::kDecided);
+  EXPECT_EQ(rep.outcomes[0].phase, "");
+  EXPECT_EQ(rep.outcomes[1].outcome, Outcome::kAborted);
+  EXPECT_EQ(rep.outcomes[1].phase, "y/leaf");
+}
+
+TEST(SyncNetworkPhaseMeter, ZeroByteSendCreatesTheKey) {
+  SyncNetwork net(2, 0);
+  for (int id = 0; id < 2; ++id) {
+    net.set_honest(id, [](PartyContext& ctx) {
+      auto outer = ctx.phase("outer");
+      auto empty = ctx.phase("empty");
+      ctx.send_all(Bytes{});
+      (void)ctx.advance();
+    });
+  }
+  const RunReport rep = net.run_report();
+  EXPECT_EQ(rep.stats.honest_messages, 4u);
+  EXPECT_EQ(rep.stats.phase_breakdown, (PhaseBytes{{"empty", 0}}));
+  EXPECT_EQ(rep.stats.honest_bytes_by_phase,
+            (PhaseBytes{{"empty", 0}, {"outer", 0}}));
+  for (const PartyOutcome& o : rep.outcomes) EXPECT_EQ(o.phase, "");
+}
+
+TEST(SyncNetworkPhaseMeter, SendsOutsideAnyPhaseAreUnattributedOnly) {
+  SyncNetwork net(2, 0);
+  for (int id = 0; id < 2; ++id) {
+    net.set_honest(id, [](PartyContext& ctx) {
+      ctx.send_all(Bytes(3, 0));
+      { auto quiet = ctx.phase("quiet"); }  // opened, but nothing sent
+      (void)ctx.advance();
+    });
+  }
+  const RunReport rep = net.run_report();
+  EXPECT_EQ(rep.stats.phase_breakdown,
+            (PhaseBytes{{kUnattributedPhase, 2 * 2 * 3}}));
+  EXPECT_TRUE(rep.stats.honest_bytes_by_phase.empty());
+  for (const PartyOutcome& o : rep.outcomes) EXPECT_EQ(o.phase, "");
+}
+
+TEST(SyncNetworkPhaseMeter, ByzantineAndSplitBrainRunnersAreExcluded) {
+  SyncNetwork net(7, 2);
+  const auto cheat = [](PartyContext& ctx) {
+    auto scope = ctx.phase("byz");
+    ctx.send_all(Bytes(100, 0));
+    (void)ctx.advance();
+  };
+  net.set_byzantine_protocol(5, cheat);
+  net.set_split_brain(6, cheat, cheat, {0, 1, 2});
+  for (int id = 0; id < 5; ++id) {
+    net.set_honest(id, [](PartyContext& ctx) {
+      auto scope = ctx.phase("honest");
+      ctx.send_all(Bytes(1, 0));
+      (void)ctx.advance();
+    });
+  }
+  const RunReport rep = net.run_report();
+  EXPECT_EQ(rep.stats.bytes_by_party[5], 7u * 100u);
+  EXPECT_EQ(rep.stats.bytes_by_party[6], 7u * 100u);
+  EXPECT_EQ(rep.stats.phase_breakdown, (PhaseBytes{{"honest", 5 * 7}}));
+  EXPECT_EQ(rep.stats.honest_bytes_by_phase, (PhaseBytes{{"honest", 35}}));
+  for (const PartyOutcome& o : rep.outcomes) EXPECT_EQ(o.phase, "");
+}
+
+TEST(SyncNetworkPhaseMeter, ExceptionThreePhasesDeepSealsThePath) {
+  SyncNetwork net(3, 0);
+  for (int id = 0; id < 3; ++id) {
+    net.set_honest(id, [id](PartyContext& ctx) {
+      auto a = ctx.phase("a");
+      ctx.send_all(Bytes(1, 0));
+      auto b = ctx.phase("b");
+      auto c = ctx.phase("c");
+      ctx.send_all(Bytes(2, 0));
+      if (id == 2) throw Error("deep");
+      (void)ctx.advance();
+    });
+  }
+  const RunReport rep = net.run_report();
+  EXPECT_EQ(rep.stats.phase_breakdown,
+            (PhaseBytes{{"a", 3 * 3 * 1}, {"c", 3 * 3 * 2}}));
+  EXPECT_EQ(rep.stats.honest_bytes_by_phase,
+            (PhaseBytes{{"a", 27}, {"b", 18}, {"c", 18}}));
+  EXPECT_EQ(rep.outcomes[2].outcome, Outcome::kAborted);
+  EXPECT_EQ(rep.outcomes[2].phase, "a/b/c");
+  EXPECT_EQ(rep.outcomes[0].phase, "");
+}
+
+TEST(SyncNetworkPhaseMeter, PiZGoldenPhaseViews) {
+  // Pi_Z at n = 13 with two mutator byzantines. The expected maps were
+  // captured from the earlier meter, which kept one std::map per view and
+  // updated both on every send; any change to how sends are charged to
+  // phases shows up here.
+  adv::FuzzCase c;
+  c.protocol = "PiZ";
+  c.n = 13;
+  c.t = 4;
+  c.ell = 256;
+  c.input_seed = 2;
+  c.corrupted = {2, 9};
+  c.mutation.seed = 5;
+  c.mutation.n = 13;
+  const adv::FuzzOutcome out = adv::execute_case(c);
+  ASSERT_TRUE(out.verdict.ok());
+  EXPECT_EQ(out.stats.honest_bytes, 338364u);
+  EXPECT_EQ(out.stats.phase_breakdown, (PhaseBytes{
+                                           {"BA+", 127309},
+                                           {"GetOutput", 1573},
+                                           {"HighCostCA", 46358},
+                                           {"PiN", 1482},
+                                           {"PiZ", 1482},
+                                           {"lBA+/distribute", 160160},
+                                       }));
+  EXPECT_EQ(out.stats.honest_bytes_by_phase, (PhaseBytes{
+                                                 {"AddLastBlock", 23075},
+                                                 {"BA+", 127309},
+                                                 {"FindPrefixBlocks", 287469},
+                                                 {"FixedLengthCABlocks", 312117},
+                                                 {"GetOutput", 1573},
+                                                 {"HighCostCA", 46358},
+                                                 {"PiN", 336882},
+                                                 {"PiZ", 338364},
+                                                 {"lBA+", 287469},
+                                                 {"lBA+/distribute", 160160},
+                                                 {"lBA+/root-agreement", 127309},
+                                             }));
 }
 
 }  // namespace

@@ -70,7 +70,7 @@ using namespace coca;
   std::cerr << "usage: bench_runner [options]\n"
                "  --smoke            fast CI probe (one config + zero-copy "
                "broadcast check)\n"
-               "  --out FILE         write JSON to FILE (default stdout)\n"
+               "  --out FILE         write JSON to FILE (default or '-': stdout)\n"
                "  --baseline FILE    embed FILE's JSON as the \"baseline\" "
                "field\n"
                "  --reps N           best-of-N wall-clock (default 3)\n"
@@ -856,7 +856,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (out_path.empty()) {
+  if (out_path.empty() || out_path == "-") {
     write_json(std::cout, results, fault_results, throughput_results,
                wire_results, wire_fault_results, baseline_text, smoke);
   } else {
