@@ -95,9 +95,8 @@ void validate_case(const FuzzCase& c);
 struct ExecHooks {
   net::Transcript* transcript = nullptr;  // canonical message transcript
   obs::Tracer* tracer = nullptr;          // fresh Tracer per case
-  /// Live per-round delivery stream (see net::RoundObserver). This is the
-  /// seam the sharded engine's SPSC lanes hang off: one observer per
-  /// instance, pushed from the instance's own controller context.
+  /// Per-round delivery stream (see net::RoundObserver). The sharded
+  /// engine installs one per instance to log its rounds.
   net::RoundObserver* observer = nullptr;
   /// Round transport (see net::RoundRouter). Unlike the taps above this
   /// *does* change where bytes travel -- every delivered round crosses the

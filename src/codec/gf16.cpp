@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
-#include <optional>
 #include <vector>
 
 namespace coca::codec {
@@ -114,33 +112,6 @@ void MulBy::axpy_be(std::uint8_t* dst, const std::uint8_t* src,
     const Elem y = static_cast<Elem>(lo_[src[i + 1]] ^ hi_[src[i]]);
     dst[i] ^= static_cast<std::uint8_t>(y >> 8);
     dst[i + 1] ^= static_cast<std::uint8_t>(y);
-  }
-}
-
-void axpy_be_batch(const GF16& f, std::span<const AxpyJob> jobs) {
-  for (const AxpyJob& job : jobs) {
-    require(job.bytes % 2 == 0, "axpy_be_batch: need even byte counts");
-  }
-  // Group job indices by coefficient so each distinct nonzero c pays for
-  // one MulBy table build. stable_sort keeps same-coefficient jobs in
-  // submission order; jobs on distinct buffers commute and same-buffer
-  // accumulates are XORs, so any grouping is bit-identical to per-job axpy.
-  std::vector<std::size_t> order(jobs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&jobs](std::size_t a, std::size_t b) {
-                     return jobs[a].c < jobs[b].c;
-                   });
-  GF16::Elem current = 0;  // c == 0 jobs are no-ops and sort first
-  std::optional<MulBy> mb;
-  for (const std::size_t idx : order) {
-    const AxpyJob& job = jobs[idx];
-    if (job.c == 0 || job.bytes == 0) continue;
-    if (!mb || job.c != current) {
-      current = job.c;
-      mb.emplace(f, current);
-    }
-    mb->axpy_be(job.dst, job.src, job.bytes);
   }
 }
 

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "util/common.h"
 
@@ -91,22 +90,5 @@ class MulBy {
   Elem lo_[256];  // c * x for x in 0..255 (low source byte)
   Elem hi_[256];  // c * (x << 8)         (high source byte)
 };
-
-/// One dst ^= c * src accumulate over big-endian 16-bit symbols: the unit
-/// of cross-instance axpy batching. `bytes` must be even; dst and src must
-/// not overlap.
-struct AxpyJob {
-  std::uint8_t* dst = nullptr;
-  const std::uint8_t* src = nullptr;
-  std::size_t bytes = 0;
-  GF16::Elem c = 0;
-};
-
-/// Runs every job, bit-identical to calling MulBy(f, job.c).axpy_be(...)
-/// per job, but with one MulBy table build per distinct nonzero coefficient
-/// across the whole batch -- the amortization many small per-instance
-/// buffers cannot get on their own. Jobs with c == 0 or bytes == 0 are
-/// no-ops (XOR with zero), matching the per-job path.
-void axpy_be_batch(const GF16& f, std::span<const AxpyJob> jobs);
 
 }  // namespace coca::codec

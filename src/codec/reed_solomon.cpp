@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "obs/obs.h"
-#include "util/kernel_gate.h"
 
 namespace coca::codec {
 
@@ -190,14 +189,6 @@ ReedSolomon::ReedSolomon(std::size_t n, std::size_t k) : n_(n), k_(k) {
 }
 
 std::vector<Bytes> ReedSolomon::encode(const Bytes& data) const {
-  // Co-scheduler seam: a thread gate may park this instance and run the
-  // encode through encode_batch together with its siblings (bit-identical
-  // output). Checked before the obs span so inline spans only cover work
-  // actually done inline.
-  if (KernelGate* g = thread_kernel_gate(); g != nullptr) {
-    std::vector<Bytes> shares;
-    if (g->rs_encode(n_, k_, data, &shares)) return shares;
-  }
   COCA_OBS_SPAN("rs.encode", "kernel");
   const std::size_t ssize = share_size(data.size());
   if (ssize < kWideThresholdBytes) return ref_::encode(n_, k_, data);
@@ -226,58 +217,6 @@ std::vector<Bytes> ReedSolomon::encode(const Bytes& data) const {
     }
   }
   return shares;
-}
-
-std::vector<std::vector<Bytes>> ReedSolomon::encode_batch(
-    std::span<const Bytes* const> batch) const {
-  COCA_OBS_SPAN("rs.encode", "kernel");
-  const GF16& f = GF16::instance();
-  std::vector<std::vector<Bytes>> out(batch.size());
-  std::vector<std::size_t> wide;  // payloads on the table-driven path
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Bytes& data = *batch[i];
-    const std::size_t ssize = share_size(data.size());
-    if (ssize < kWideThresholdBytes) {
-      out[i] = ref_::encode(n_, k_, data);
-      continue;
-    }
-    out[i].assign(n_, Bytes(ssize, 0));
-    deinterleave_systematic(data, k_, ssize, &out[i]);
-    wide.push_back(i);
-  }
-
-  // All parity work of the whole batch as one axpy job list. Parity shares
-  // start zero-filled, so even the first nonzero coefficient of a row is
-  // an accumulate (dst ^= c*src over zeros == dst = c*src byte for byte);
-  // axpy_be_batch then builds one MulBy table per distinct coefficient
-  // across every (row, payload) pair -- dedup that the per-(r, j) loop
-  // structure could not reach. Jobs touch disjoint dst buffers and XOR
-  // accumulation is commutative, so any execution order (axpy_be_batch
-  // groups by coefficient) leaves every share bit-identical to encode().
-  std::vector<AxpyJob> jobs;
-  jobs.reserve(wide.size() * (n_ - k_) * k_);
-  for (const std::size_t w : wide) {
-    std::vector<Bytes>& shares = out[w];
-    const std::size_t ssize = shares[0].size();
-    for (std::size_t r = 0; r + k_ < n_; ++r) {
-      for (std::size_t j = 0; j < k_; ++j) {
-        const Elem coef = parity_[r][j];
-        if (coef == 0) continue;
-        jobs.push_back(
-            {shares[k_ + r].data(), shares[j].data(), ssize, coef});
-      }
-    }
-  }
-  axpy_be_batch(f, jobs);
-  return out;
-}
-
-std::vector<std::vector<Bytes>> ReedSolomon::encode_batch(
-    std::span<const Bytes> batch) const {
-  std::vector<const Bytes*> ptrs;
-  ptrs.reserve(batch.size());
-  for (const Bytes& b : batch) ptrs.push_back(&b);
-  return encode_batch(std::span<const Bytes* const>(ptrs));
 }
 
 std::optional<Bytes> ReedSolomon::decode(

@@ -38,20 +38,6 @@ class ReedSolomon {
   /// RS.ENCODE: n shares; share i is the evaluation at point i.
   std::vector<Bytes> encode(const Bytes& data) const;
 
-  /// Cross-instance RS.ENCODE: one share vector per payload, each
-  /// bit-identical to encode() on that payload alone. Payloads route
-  /// independently through the small-buffer reference path or the wide
-  /// table-driven path by their own share size; all wide parity work is
-  /// flushed as one axpy_be_batch job list -- one MulBy table build per
-  /// distinct parity coefficient across the whole batch -- under a single
-  /// obs span. The pointer form batches scattered payloads (e.g. parked on
-  /// different fiber stacks) without gathering them; pointers must be
-  /// non-null and stay valid for the call.
-  std::vector<std::vector<Bytes>> encode_batch(
-      std::span<const Bytes* const> batch) const;
-  std::vector<std::vector<Bytes>> encode_batch(
-      std::span<const Bytes> batch) const;
-
   /// RS.DECODE: reconstruct a `data_size`-byte payload from >= k shares
   /// given as (share index, share bytes) pairs. Returns nullopt when the
   /// input is unusable (too few distinct valid-size shares, bad indices).

@@ -1,7 +1,6 @@
 #include "crypto/merkle.h"
 
 #include "obs/obs.h"
-#include "util/kernel_gate.h"
 
 namespace coca::crypto {
 
@@ -38,7 +37,9 @@ std::size_t MerkleTree::depth(std::size_t leaf_count) {
   return ceil_log2(leaf_count);
 }
 
-MerkleTree MerkleTree::build_one(Sha256& ctx, LeafList leaves) {
+MerkleTree MerkleTree::build_views(
+    std::span<const std::span<const std::uint8_t>> leaves) {
+  COCA_OBS_SPAN("merkle.build", "kernel");
   require(!leaves.empty(), "MerkleTree::build: need at least one leaf");
   MerkleTree t;
   t.leaf_count_ = leaves.size();
@@ -46,6 +47,7 @@ MerkleTree MerkleTree::build_one(Sha256& ctx, LeafList leaves) {
   t.nodes_.assign(2 * t.width_, Digest{});
   // One hash context for the whole build: reset between leaves instead of
   // constructing a fresh context (and padding buffer) per leaf.
+  Sha256 ctx;
   for (std::size_t i = 0; i < leaves.size(); ++i) {
     ctx.reset();
     ctx.update(std::span<const std::uint8_t>(&kLeafTag, 1));
@@ -59,31 +61,6 @@ MerkleTree MerkleTree::build_one(Sha256& ctx, LeafList leaves) {
     t.nodes_[i] = node_hash(t.nodes_[2 * i], t.nodes_[2 * i + 1]);
   }
   return t;
-}
-
-MerkleTree MerkleTree::build_views(
-    std::span<const std::span<const std::uint8_t>> leaves) {
-  // Co-scheduler seam: see util/kernel_gate.h. The gate may park this
-  // instance and run the build via build_views_batch (bit-identical).
-  if (KernelGate* g = thread_kernel_gate(); g != nullptr) {
-    MerkleTree t;
-    if (g->merkle_build(leaves, &t)) return t;
-  }
-  COCA_OBS_SPAN("merkle.build", "kernel");
-  Sha256 ctx;
-  return build_one(ctx, leaves);
-}
-
-std::vector<MerkleTree> MerkleTree::build_views_batch(
-    std::span<const LeafList> batch) {
-  COCA_OBS_SPAN("merkle.build", "kernel");
-  std::vector<MerkleTree> trees;
-  trees.reserve(batch.size());
-  Sha256 ctx;
-  for (const LeafList& leaves : batch) {
-    trees.push_back(build_one(ctx, leaves));
-  }
-  return trees;
 }
 
 MerkleTree MerkleTree::build(const std::vector<Bytes>& leaves) {

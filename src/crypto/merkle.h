@@ -30,16 +30,6 @@ class MerkleTree {
   static MerkleTree build_views(
       std::span<const std::span<const std::uint8_t>> leaves);
 
-  /// One instance's leaf list, as handed to build_views.
-  using LeafList = std::span<const std::span<const std::uint8_t>>;
-
-  /// Cross-instance MT.BUILD: one tree per leaf list, each bit-identical to
-  /// a build_views call on that list alone. The whole batch shares a single
-  /// hash context and a single obs span, so many small per-instance builds
-  /// amortize setup the way one large build does.
-  static std::vector<MerkleTree> build_views_batch(
-      std::span<const LeafList> batch);
-
   /// Root hash z: the kappa-bit encoding of the leaf multiset.
   const Digest& root() const { return nodes_[1]; }
 
@@ -66,10 +56,6 @@ class MerkleTree {
 
  private:
   MerkleTree() = default;
-
-  /// Shared body of build_views / build_views_batch: one tree through the
-  /// caller's (reused) hash context, no obs span of its own.
-  static MerkleTree build_one(Sha256& ctx, LeafList leaves);
 
   std::size_t leaf_count_ = 0;  // real leaves (before padding)
   std::size_t width_ = 0;       // padded to power of two

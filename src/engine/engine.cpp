@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <utility>
 
-#include "engine/kernel_batch.h"
-#include "engine/spsc_ring.h"
 #include "net/sync_network.h"
 #include "util/rng.h"
 
@@ -13,42 +12,23 @@ namespace coca::engine {
 
 namespace {
 
-/// The lane producer: one per instance, installed as the instance's
-/// net::RoundObserver. Runs in the instance's controller context (the
-/// worker thread), so the SPSC single-producer contract holds by
-/// construction.
-class LaneObserver : public net::RoundObserver {
+/// One instance's delivered rounds, installed as its net::RoundObserver.
+/// Only the instance's worker appends; the calling thread reads the log
+/// after joining that worker.
+class RoundLog : public net::RoundObserver {
  public:
-  LaneObserver(SpscRing<RoundEvent>* lane, std::uint32_t instance)
-      : lane_(lane), instance_(instance) {}
-
   void on_round(std::size_t round, std::uint64_t honest_bytes,
-                std::uint64_t honest_messages) override {
-    RoundEvent ev;
-    ev.instance = instance_;
-    ev.round = static_cast<std::uint32_t>(round);
-    ev.honest_bytes = honest_bytes;
-    ev.honest_messages = honest_messages;
-    lane_->push(ev);
+                std::uint64_t /*honest_messages*/) override {
+    rounds.emplace_back(round, honest_bytes);
   }
 
-  void finish() {
-    RoundEvent ev;
-    ev.instance = instance_;
-    ev.done = true;
-    lane_->push(ev);
-  }
-
- private:
-  SpscRing<RoundEvent>* lane_;
-  std::uint32_t instance_;
+  std::vector<std::pair<std::size_t, std::uint64_t>> rounds;
 };
 
 }  // namespace
 
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   require(options_.workers >= 1, "Engine: need workers >= 1");
-  require(options_.lane_capacity >= 1, "Engine: need lane_capacity >= 1");
 }
 
 EngineReport Engine::run(const std::vector<adv::FuzzCase>& cases) {
@@ -66,12 +46,7 @@ EngineReport Engine::run(const std::vector<adv::FuzzCase>& cases) {
   const auto workers = std::min<std::size_t>(
       static_cast<std::size_t>(options_.workers), kk);
 
-  std::vector<std::unique_ptr<SpscRing<RoundEvent>>> lanes;
-  lanes.reserve(kk);
-  for (std::size_t i = 0; i < kk; ++i) {
-    lanes.push_back(
-        std::make_unique<SpscRing<RoundEvent>>(options_.lane_capacity));
-  }
+  std::vector<RoundLog> logs(kk);
   std::vector<std::unique_ptr<obs::Tracer>> tracers(kk);
   if (options_.trace) {
     for (auto& t : tracers) {
@@ -81,27 +56,20 @@ EngineReport Engine::run(const std::vector<adv::FuzzCase>& cases) {
 
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Workers: instance i runs on worker i % W. All of an instance's
-  // protocol work happens on its worker via its own private SyncNetwork;
-  // the only cross-thread traffic is the lane. A worker holding several
-  // instances either runs them sequentially or -- when kernel batching is
-  // on -- as cooperative fibers whose RS/Merkle kernels flush through the
-  // batch entry points (bit-identical outputs either way).
-  const bool batch = options_.batch_kernels && !options_.trace &&
-                     net::fibers_available();
-  std::vector<KernelBatchStats> batch_stats(workers);
+  // Workers: instance i runs on worker i % W, one instance after another,
+  // each on its own private SyncNetwork. A worker touches only its own
+  // instances' results and logs.
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (std::size_t wi = 0; wi < workers; ++wi) {
     pool.emplace_back([&, wi]() {
-      const auto run_one = [&](std::size_t i) {
+      for (std::size_t i = wi; i < kk; i += workers) {
         InstanceResult& res = report.instances[i];
         res.worker = static_cast<int>(wi);
-        LaneObserver observer(lanes[i].get(), static_cast<std::uint32_t>(i));
         adv::ExecHooks hooks;
         if (options_.record_transcripts) hooks.transcript = &res.transcript;
         if (tracers[i]) hooks.tracer = tracers[i].get();
-        hooks.observer = &observer;
+        hooks.observer = &logs[i];
         try {
           res.outcome = adv::execute_case(cases[i], hooks);
         } catch (const std::exception& e) {
@@ -111,54 +79,26 @@ EngineReport Engine::run(const std::vector<adv::FuzzCase>& cases) {
           res.outcome.verdict.violations.push_back(
               std::string("crash: engine worker: ") + e.what());
         }
-        observer.finish();
-      };
-      std::vector<std::size_t> mine;
-      for (std::size_t i = wi; i < kk; i += workers) mine.push_back(i);
-      if (batch && mine.size() > 1) {
-        std::vector<std::function<void()>> work;
-        work.reserve(mine.size());
-        for (const std::size_t i : mine) {
-          work.push_back([&run_one, i] { run_one(i); });
-        }
-        batch_stats[wi] = run_batched(std::move(work));
-      } else {
-        for (const std::size_t i : mine) run_one(i);
       }
     });
   }
-
-  // Collector: this thread is every lane's only consumer. Each sweep
-  // drains lanes in canonical instance order 0..K-1; the folds below are
-  // commutative sums keyed by (instance, round), so the report is
-  // bit-identical for any worker count or interleaving.
-  std::size_t done = 0;
-  while (done < kk) {
-    bool idle = true;
-    for (std::size_t i = 0; i < kk; ++i) {
-      while (std::optional<RoundEvent> ev = lanes[i]->try_pop()) {
-        idle = false;
-        if (ev->done) {
-          ++done;
-          continue;
-        }
-        ++report.instances[i].rounds_streamed;
-        if (report.honest_bytes_by_round.size() <=
-            static_cast<std::size_t>(ev->round)) {
-          report.honest_bytes_by_round.resize(ev->round + 1, 0);
-        }
-        report.honest_bytes_by_round[ev->round] += ev->honest_bytes;
-      }
-    }
-    if (idle) std::this_thread::yield();
-  }
   for (std::thread& th : pool) th.join();
-  for (const KernelBatchStats& s : batch_stats) report.kernel_batch += s;
 
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  for (const InstanceResult& res : report.instances) {
+
+  // Fold in instance order 0..K-1. Every fold is a sum keyed by instance
+  // or round, so the report is identical for any worker count.
+  for (std::size_t i = 0; i < kk; ++i) {
+    InstanceResult& res = report.instances[i];
+    res.rounds_streamed = logs[i].rounds.size();
+    for (const auto& [round, bytes] : logs[i].rounds) {
+      if (report.honest_bytes_by_round.size() <= round) {
+        report.honest_bytes_by_round.resize(round + 1, 0);
+      }
+      report.honest_bytes_by_round[round] += bytes;
+    }
     report.honest_bytes += res.outcome.stats.honest_bytes;
     report.honest_messages += res.outcome.stats.honest_messages;
     report.rounds += res.outcome.stats.rounds;
@@ -183,7 +123,7 @@ IsolationReport check_isolation(const adv::FuzzCase& victim,
 
   // Neighbors: honest twins of the victim (same protocol/n/t/ell, derived
   // input seeds, no corruption, no faults). The victim sits mid-pack so
-  // lanes on both sides of it are exercised.
+  // neighbors come both before and after it in instance order.
   const std::size_t count = static_cast<std::size_t>(options.instances);
   const std::size_t victim_at = count / 2;
   std::vector<adv::FuzzCase> cases(count);

@@ -8,18 +8,15 @@
 // that an invariant rather than a hope:
 //
 //  * Sharding. K instances are dealt round-robin over W workers
-//    (instance i runs on worker i % W). Each worker runs its instances
-//    sequentially, each on its own private SyncNetwork -- no protocol
+//    (instance i runs on worker i % W). Each worker runs its instances one
+//    after another, each on its own private SyncNetwork -- no protocol
 //    state, RNG stream, or payload buffer is shared between instances.
-//  * Lanes. Each instance owns a lock-free SPSC ring (spsc_ring.h). The
-//    worker is the lane's only producer: a net::RoundObserver pushes one
-//    RoundEvent per delivered round from the instance's controller
-//    context. The collector (the calling thread) is the only consumer.
-//  * Canonical merge order. The collector drains lanes strictly in
-//    instance order 0..K-1 every sweep, and all cross-instance aggregates
-//    (bytes-by-round, merged metrics) are commutative folds -- so every
-//    report field except wall-clock time is independent of worker count
-//    and interleaving.
+//  * Join, then fold. Each instance's net::RoundObserver appends
+//    (round, honest_bytes) to a log owned by that instance. Workers write
+//    only their own instances' results and logs; the thread join is the
+//    only handoff. After the join the calling thread folds the logs and
+//    RunStats in instance order 0..K-1 -- so every report field except
+//    wall-clock time is independent of worker count and interleaving.
 //
 // Headline invariant (tier-1 asserted across worker counts {1, 2, 8}):
 // every instance's transcript, RunStats, and phase_breakdown are
@@ -40,59 +37,37 @@ namespace coca::engine {
 struct EngineOptions {
   /// Worker threads (clamped to the instance count; >= 1).
   int workers = 1;
-  /// Per-lane ring capacity in RoundEvents; producers yield when full.
-  std::size_t lane_capacity = 256;
   /// Record each instance's canonical transcript (the equivalence gate).
   bool record_transcripts = true;
   /// Attach a per-instance canonical-mode Tracer (timing off) and fold the
   /// registries into EngineReport::metrics in instance order.
   bool trace = false;
-  /// Batch compute kernels across the instances sharing a worker: run them
-  /// as cooperative fibers (engine/kernel_batch.h) so concurrent RS
-  /// encodes and Merkle builds execute through `encode_batch` /
-  /// `build_views_batch` -- bit-identical outputs, amortized kernel setup.
-  /// Takes effect only when a worker holds > 1 instance, tracing is off
-  /// (batching collapses per-call spans into per-flush spans), and ucontext
-  /// fibers are available; otherwise instances run plain sequentially.
-  bool batch_kernels = true;
-};
-
-/// One delivered round, streamed over an instance's lane while the
-/// instance still runs.
-struct RoundEvent {
-  std::uint32_t instance = 0;
-  std::uint32_t round = 0;
-  std::uint64_t honest_bytes = 0;
-  std::uint64_t honest_messages = 0;
-  /// Lane terminator: the instance finished (outcome published); no
-  /// further events follow on this lane.
-  bool done = false;
 };
 
 struct InstanceResult {
   adv::FuzzOutcome outcome;
   net::Transcript transcript;  // empty unless record_transcripts
   int worker = -1;             // which worker ran it
-  /// Rounds the collector observed live over the lane; equals
-  /// outcome.stats.rounds minus the trailing leftover-only flush (the
-  /// observer reports merged rounds only, see net::RoundObserver).
+  /// Rounds the instance's net::RoundObserver reported; equals
+  /// outcome.stats.rounds (the trailing leftover-only flush is neither
+  /// reported nor counted as a round).
   std::uint64_t rounds_streamed = 0;
 };
 
 struct EngineReport {
   std::vector<InstanceResult> instances;  // indexed like the input cases
-  // Aggregates over all instances (from the authoritative RunStats, not
-  // the streamed events; commutative sums, so worker-count independent).
+  // Aggregates over all instances (from the authoritative RunStats;
+  // commutative sums, so worker-count independent).
   std::uint64_t honest_bytes = 0;
   std::uint64_t honest_messages = 0;
   std::uint64_t rounds = 0;
-  /// Live-streamed cross-instance view: honest bytes per round index,
-  /// folded from the lane events in canonical drain order.
+  /// Cross-instance view: honest bytes per round index, folded from the
+  /// per-instance round logs in instance order.
   std::vector<std::uint64_t> honest_bytes_by_round;
   /// Folded per-instance metrics in instance order (empty unless trace).
   obs::MetricsRegistry metrics;
-  /// Summed over workers: what the kernel batcher actually served. All
-  /// zero when batching was off or never took effect.
+  /// Always zero: the engine no longer batches kernels (see
+  /// engine/kernel_batch.h).
   KernelBatchStats kernel_batch;
   double seconds = 0.0;  // wall clock, the only schedule-dependent field
 };

@@ -1,46 +1,17 @@
-// Cross-instance kernel batching: run K protocol instances as cooperative
-// fibers on one worker thread, parking each at its compute-kernel calls so
-// the kernels of many instances execute through the batch entry points.
-//
-// The seam is `coca::KernelGate` (util/kernel_gate.h): `ReedSolomon::encode`
-// and `MerkleTree::build_views` consult the calling thread's gate before
-// doing anything. `KernelBatcher` installs itself as that gate, gives every
-// instance its own fiber stack (so a park can always swap cleanly back to
-// the scheduler on the worker's native stack -- including parks initiated
-// from a party fiber nested inside the instance's own SyncNetwork), and
-// drives this loop:
-//
-//   1. Resume every runnable instance in index order. Each runs until it
-//      parks at a kernel call or finishes.
-//   2. Flush the parked requests: RS encodes grouped by (n, k) through
-//      `ReedSolomon::encode_batch` (one MulBy table per distinct parity
-//      coefficient across the whole group), Merkle builds through
-//      `MerkleTree::build_views_batch` (one hash context for all trees).
-//   3. Hand each instance its result, mark it runnable, go to 1.
-//
-// The batch entry points are bit-identical to the per-call kernels (a
-// tier-1 differential invariant), so instance outputs -- transcripts,
-// RunStats, every byte on the wire -- are unchanged; only the kernel setup
-// cost is amortized. Per-thread PayloadMetrics counters are virtualized
-// across the interleaving (saved at park, restored at resume), so each
-// instance's payload_copies diff covers exactly its own copies.
-//
-// Requires ucontext fibers (`net::fibers_available()`); callers fall back
-// to plain sequential execution when unavailable.
+// Kernel-batch counters, kept only because the benchmark (perfbench/) still
+// reads EngineReport::kernel_batch. The engine no longer batches kernels
+// across instances, so every field always reads zero. The struct goes with
+// the next change to the benchmark.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 namespace coca::engine {
 
-/// What a batch run did; folded into EngineReport so tests can assert the
-/// gate actually fired rather than silently running everything inline.
 struct KernelBatchStats {
-  std::uint64_t flushes = 0;       // scheduler flush passes with >= 1 request
-  std::uint64_t rs_calls = 0;      // encode() calls served through a batch
-  std::uint64_t merkle_calls = 0;  // build_views() calls served likewise
+  std::uint64_t flushes = 0;
+  std::uint64_t rs_calls = 0;
+  std::uint64_t merkle_calls = 0;
 
   KernelBatchStats& operator+=(const KernelBatchStats& o) {
     flushes += o.flushes;
@@ -49,12 +20,5 @@ struct KernelBatchStats {
     return *this;
   }
 };
-
-/// Runs `work` items to completion as cooperative fibers on the calling
-/// thread, batching their kernel calls. Items must not assume they run on
-/// the caller's stack; everything else (thread identity, thread_locals
-/// outside PayloadMetrics) is unchanged. Exceptions must not escape a work
-/// item (the engine's items already catch everything).
-KernelBatchStats run_batched(std::vector<std::function<void()>> work);
 
 }  // namespace coca::engine

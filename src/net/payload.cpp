@@ -38,12 +38,6 @@ std::uint64_t PayloadMetrics::thread_copies() { return t_copies; }
 
 std::uint64_t PayloadMetrics::thread_bytes_copied() { return t_bytes_copied; }
 
-void PayloadMetrics::thread_set(std::uint64_t copies,
-                                std::uint64_t bytes_copied) {
-  t_copies = copies;
-  t_bytes_copied = bytes_copied;
-}
-
 std::uint64_t PayloadMetrics::wire_copies() {
   return g_wire_copies.load(std::memory_order_relaxed);
 }

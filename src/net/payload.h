@@ -52,11 +52,6 @@ struct PayloadMetrics {
   static std::uint64_t bytes_copied();
   static std::uint64_t thread_copies();
   static std::uint64_t thread_bytes_copied();
-  /// Overwrites the calling thread's counters (globals untouched). A fiber
-  /// co-scheduler interleaving several runs on one OS thread virtualizes
-  /// the per-thread pair: save with the getters at park, restore with this
-  /// at resume, so each run's before/after diff covers only its own copies.
-  static void thread_set(std::uint64_t copies, std::uint64_t bytes_copied);
 
   /// Wire-side copy counters: bytes the *transport* memcpy'd that are not
   /// protocol payload copies -- today only the FrameDecoder's partial-frame

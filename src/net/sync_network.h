@@ -87,9 +87,8 @@ constexpr std::uint64_t runner_stream_key(int party,
 }
 
 /// True when the ucontext fiber backend is usable in this build/run
-/// (false under ThreadSanitizer or COCA_NO_FIBERS). Exposed for other
-/// cooperative schedulers built on the same primitive -- the engine's
-/// kernel-batch co-scheduler gates on it.
+/// (false under ThreadSanitizer or COCA_NO_FIBERS). Benchmarks report it so a
+/// measurement names the backend it ran on.
 bool fibers_available();
 
 /// A delivered message with its authenticated sender. The payload is a
@@ -265,8 +264,9 @@ class SendTap {
 ///
 /// Implementations must not touch the network and must not block on
 /// anything fed by this same controller thread (in the OS-thread backend
-/// the hook runs with the barrier mutex held). Lock-free handoff -- e.g. an
-/// SPSC ring drained by another thread -- is the intended shape.
+/// the hook runs with the barrier mutex held). Appending to a log that is
+/// read after the run -- what the sharded engine does -- is the intended
+/// shape.
 class RoundObserver {
  public:
   virtual ~RoundObserver() = default;

@@ -251,133 +251,5 @@ TEST(ReedSolomon, DeterministicEncoding) {
   EXPECT_EQ(rs.encode(data), rs.encode(data));
 }
 
-TEST(ReedSolomon, BatchEncodeMatchesReferencePerPayload) {
-  // The cross-instance batch entry point against both oracles, with
-  // heterogeneous payload sizes straddling the 512-byte wide-path
-  // threshold (n=7, k=5: shares go wide from data ~2551 bytes up). Every
-  // share vector must equal the per-payload encode() AND the independent
-  // scalar ref_ encoder, bit for bit.
-  const std::size_t n = 7;
-  const std::size_t k = 5;
-  const ReedSolomon rs(n, k);
-  Rng rng(91);
-  std::vector<Bytes> batch;
-  for (const std::size_t size : {1u, 40u, 700u, 2550u, 2551u, 2560u, 8192u}) {
-    batch.push_back(rng.bytes(size));
-  }
-  const auto encoded = rs.encode_batch(batch);
-  ASSERT_EQ(encoded.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    SCOPED_TRACE(::testing::Message() << "payload bytes=" << batch[i].size());
-    EXPECT_EQ(encoded[i], rs.encode(batch[i]));
-    EXPECT_EQ(encoded[i], ref_::encode(n, k, batch[i]));
-  }
-}
-
-TEST(ReedSolomon, BatchEncodePointerOverloadMatchesValueOverload) {
-  // The scatter form (span of pointers, as handed up by the engine's
-  // kernel batcher from parked instances) is the same computation as the
-  // contiguous form -- and both equal per-payload encode().
-  const ReedSolomon rs(7, 5);
-  Rng rng(131);
-  std::vector<Bytes> payloads;
-  for (const std::size_t size : {2u, 600u, 2551u, 4096u}) {
-    payloads.push_back(rng.bytes(size));
-  }
-  std::vector<const Bytes*> ptrs;
-  for (const Bytes& p : payloads) ptrs.push_back(&p);
-  const auto via_ptrs =
-      rs.encode_batch(std::span<const Bytes* const>(ptrs));
-  const auto via_values = rs.encode_batch(payloads);
-  ASSERT_EQ(via_ptrs.size(), payloads.size());
-  EXPECT_EQ(via_ptrs, via_values);
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    EXPECT_EQ(via_ptrs[i], rs.encode(payloads[i]));
-  }
-}
-
-TEST(ReedSolomon, BatchEncodeEdgeShapes) {
-  const ReedSolomon rs(7, 5);
-  // Empty batch, single payload, and all-small / all-wide uniform batches.
-  EXPECT_TRUE(rs.encode_batch(std::span<const Bytes>{}).empty());
-  for (const std::size_t size : {3u, 5000u}) {
-    Rng rng(17 + size);
-    const std::vector<Bytes> batch(4, rng.bytes(size));
-    const auto encoded = rs.encode_batch(batch);
-    for (const auto& shares : encoded) {
-      EXPECT_EQ(shares, rs.encode(batch[0]));
-    }
-  }
-}
-
-TEST(GF16, AxpyBatchMatchesPerJobKernels) {
-  const GF16& f = GF16::instance();
-  Rng rng(23);
-  // Jobs with repeated and zero coefficients over buffers of mixed sizes
-  // (even byte counts; some below, some above the MulBy amortization
-  // sweet spot). The batch must leave every dst exactly as the per-job
-  // axpy_be calls would.
-  constexpr std::size_t kSizes[] = {0, 2, 8, 10, 64, 510, 512, 2048};
-  std::vector<AxpyJob> jobs;
-  std::vector<Bytes> srcs;
-  std::vector<Bytes> dst_batch;
-  std::vector<Bytes> dst_ref;
-  constexpr GF16::Elem kCoefs[] = {0, 1, 7, 7, 0x1234, 7, 0xFFFF, 1};
-  for (std::size_t i = 0; i < std::size(kSizes); ++i) {
-    srcs.push_back(rng.bytes(kSizes[i]));
-    dst_batch.push_back(rng.bytes(kSizes[i]));
-  }
-  dst_ref = dst_batch;
-  for (std::size_t i = 0; i < std::size(kSizes); ++i) {
-    AxpyJob job;
-    job.dst = dst_batch[i].data();
-    job.src = srcs[i].data();
-    job.bytes = kSizes[i];
-    job.c = kCoefs[i];
-    jobs.push_back(job);
-  }
-  axpy_be_batch(f, jobs);
-  for (std::size_t i = 0; i < std::size(kSizes); ++i) {
-    if (kCoefs[i] != 0 && kSizes[i] != 0) {
-      MulBy(f, kCoefs[i]).axpy_be(dst_ref[i].data(), srcs[i].data(),
-                                  kSizes[i]);
-    }
-    EXPECT_EQ(dst_batch[i], dst_ref[i]) << "job " << i;
-  }
-}
-
-TEST(GF16, AxpyBatchAccumulatesOntoSharedDst) {
-  // Multiple jobs targeting one dst: XOR accumulation is order-free, so
-  // the grouped-by-coefficient execution must equal sequential per-job
-  // axpy. This is the engine shape: many instances folding into one
-  // aggregate buffer.
-  const GF16& f = GF16::instance();
-  Rng rng(29);
-  const std::size_t bytes = 1024;
-  Bytes dst_batch = rng.bytes(bytes);
-  Bytes dst_ref = dst_batch;
-  std::vector<Bytes> srcs;
-  for (int i = 0; i < 6; ++i) srcs.push_back(rng.bytes(bytes));
-  constexpr GF16::Elem kCoefs[] = {3, 9, 3, 0, 0x8001, 9};
-  std::vector<AxpyJob> jobs;
-  for (std::size_t i = 0; i < srcs.size(); ++i) {
-    jobs.push_back({dst_batch.data(), srcs[i].data(), bytes, kCoefs[i]});
-  }
-  axpy_be_batch(f, jobs);
-  for (std::size_t i = 0; i < srcs.size(); ++i) {
-    if (kCoefs[i] == 0) continue;
-    MulBy(f, kCoefs[i]).axpy_be(dst_ref.data(), srcs[i].data(), bytes);
-  }
-  EXPECT_EQ(dst_batch, dst_ref);
-}
-
-TEST(GF16, AxpyBatchRejectsOddByteCount) {
-  const GF16& f = GF16::instance();
-  Bytes dst(3, 0);
-  Bytes src(3, 0);
-  const AxpyJob jobs[] = {{dst.data(), src.data(), 3, 1}};
-  EXPECT_THROW(axpy_be_batch(f, jobs), Error);
-}
-
 }  // namespace
 }  // namespace coca::codec

@@ -6,14 +6,14 @@
 // (honest bytes/messages/rounds, per-party bytes, leaf-charged
 // phase_breakdown), and oracle verdict must be bit-identical to the same
 // (protocol, n, ell, seed) case run alone on a single SyncNetwork -- and
-// identical across worker counts {1, 2, 8}. Cross-instance aggregates
-// (honest bytes by round, folded metrics) must likewise not depend on the
-// worker count.
+// identical across worker counts {1, 2, 8}, with tracing off (the default
+// path) and on. Cross-instance aggregates (honest bytes by round, folded
+// metrics) must likewise not depend on the worker count.
 //
 // The per-protocol mix deliberately varies instance shapes (n, ell, seeds),
 // includes byzantine instances (mutator-wrapped corrupted parties) and one
-// crash-recovery fault instance, so the merge order is exercised by lanes
-// that finish at very different times.
+// crash-recovery fault instance, so workers finish their shares at very
+// different times and the post-join fold still has to come out the same.
 #include <map>
 #include <string>
 #include <vector>
@@ -84,12 +84,15 @@ void expect_instance_equivalent(const Solo& solo,
   EXPECT_EQ(a.bytes_by_party, b.bytes_by_party);
   EXPECT_EQ(a.phase_breakdown, b.phase_breakdown);
   EXPECT_EQ(a.honest_bytes_by_phase, b.honest_bytes_by_phase);
+  // Per-thread copy counters: an instance's diff must cover only its own
+  // copies, not those of instances that ran before it on the same worker.
+  EXPECT_EQ(a.payload_copies, b.payload_copies);
   EXPECT_EQ(solo.outcome.verdict.violations,
             sharded.outcome.verdict.violations);
   EXPECT_EQ(solo.outcome.terminated, sharded.outcome.terminated);
   EXPECT_TRUE(solo.transcript == sharded.transcript)
       << "transcript differs from the solo SyncNetwork run";
-  // Every delivered round was streamed live over the instance's lane.
+  // The instance's round log saw every delivered round.
   EXPECT_EQ(sharded.rounds_streamed, b.rounds);
 }
 
@@ -97,26 +100,33 @@ void sweep_protocol(const std::string& protocol) {
   const std::vector<adv::FuzzCase> cases = mixed_cases(protocol);
   const std::vector<Solo> solos = solo_baselines(cases);
   std::vector<std::uint64_t> bytes_by_round_ref;
-  std::map<std::string, std::uint64_t, std::less<>> counters_ref;
-  for (const int workers : kWorkerCounts) {
-    SCOPED_TRACE(::testing::Message()
-                 << "protocol=" << protocol << " workers=" << workers);
-    engine::EngineOptions opt;
-    opt.workers = workers;
-    opt.trace = true;
-    const engine::EngineReport report = engine::Engine(opt).run(cases);
-    ASSERT_EQ(report.instances.size(), cases.size());
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      SCOPED_TRACE(::testing::Message() << "instance=" << i);
-      expect_instance_equivalent(solos[i], report.instances[i]);
-    }
-    // Cross-instance aggregates are worker-count independent.
-    if (workers == kWorkerCounts[0]) {
-      bytes_by_round_ref = report.honest_bytes_by_round;
-      counters_ref = report.metrics.counters();
-    } else {
-      EXPECT_EQ(report.honest_bytes_by_round, bytes_by_round_ref);
-      EXPECT_EQ(report.metrics.counters(), counters_ref);
+  for (const bool trace : {false, true}) {
+    std::map<std::string, std::uint64_t, std::less<>> counters_ref;
+    for (const int workers : kWorkerCounts) {
+      SCOPED_TRACE(::testing::Message() << "protocol=" << protocol
+                                        << " workers=" << workers
+                                        << " trace=" << trace);
+      engine::EngineOptions opt;
+      opt.workers = workers;
+      opt.trace = trace;
+      const engine::EngineReport report = engine::Engine(opt).run(cases);
+      ASSERT_EQ(report.instances.size(), cases.size());
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "instance=" << i);
+        expect_instance_equivalent(solos[i], report.instances[i]);
+      }
+      // Cross-instance aggregates are worker-count (and trace) independent.
+      if (!trace && workers == kWorkerCounts[0]) {
+        bytes_by_round_ref = report.honest_bytes_by_round;
+      } else {
+        EXPECT_EQ(report.honest_bytes_by_round, bytes_by_round_ref);
+      }
+      if (workers == kWorkerCounts[0]) {
+        counters_ref = report.metrics.counters();
+        EXPECT_EQ(counters_ref.empty(), !trace);
+      } else {
+        EXPECT_EQ(report.metrics.counters(), counters_ref);
+      }
     }
   }
 }
@@ -160,31 +170,6 @@ TEST(EngineEquivalence, CrossProtocolMix) {
   }
 }
 
-TEST(EngineEquivalence, TinyLanesForceBackpressure) {
-  // Capacity-1 lanes: every producer push blocks until the collector
-  // drains, exercising the full/yield path without changing any result.
-  std::vector<adv::FuzzCase> cases;
-  for (const std::uint64_t seed : {10u, 20u, 30u, 40u}) {
-    adv::FuzzCase c;
-    c.protocol = "BAPlus";
-    c.n = 4;
-    c.t = 1;
-    c.ell = 16;
-    c.input_seed = seed;
-    c.threads = 1;
-    cases.push_back(std::move(c));
-  }
-  const std::vector<Solo> solos = solo_baselines(cases);
-  engine::EngineOptions opt;
-  opt.workers = 4;
-  opt.lane_capacity = 1;
-  const engine::EngineReport report = engine::Engine(opt).run(cases);
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    SCOPED_TRACE(::testing::Message() << "instance=" << i);
-    expect_instance_equivalent(solos[i], report.instances[i]);
-  }
-}
-
 TEST(EngineEquivalence, AggregatesSumOverInstances) {
   const std::vector<adv::FuzzCase> cases = mixed_cases("PiZ");
   engine::EngineOptions opt;
@@ -201,9 +186,9 @@ TEST(EngineEquivalence, AggregatesSumOverInstances) {
   EXPECT_EQ(report.honest_bytes, bytes);
   EXPECT_EQ(report.honest_messages, messages);
   EXPECT_EQ(report.rounds, rounds);
-  // The streamed per-round fold covers every delivered round's bytes; the
-  // trailing leftover flush (transcript-only) is the one part of
-  // honest_bytes it may miss.
+  // The per-round fold covers every delivered round's bytes; the trailing
+  // leftover flush (transcript-only) is the one part of honest_bytes it may
+  // miss.
   std::uint64_t streamed = 0;
   for (const std::uint64_t b : report.honest_bytes_by_round) streamed += b;
   EXPECT_LE(streamed, bytes);

@@ -117,49 +117,5 @@ TEST(Merkle, VerifyRejectsOutOfRange) {
   EXPECT_FALSE(MerkleTree::verify(t.root(), 0, 0, leaves[0], {}));
 }
 
-TEST(Merkle, BatchBuildMatchesPerInstanceBuilds) {
-  // The cross-instance batch entry point over heterogeneous leaf lists
-  // (different leaf counts, sizes, and tree depths -- the shapes different
-  // engine instances hand in concurrently). Every tree must match the
-  // per-list build_views result: same roots, same witnesses, and both
-  // verify interchangeably.
-  std::vector<std::vector<Bytes>> instances;
-  for (const std::size_t count : {1u, 2u, 5u, 7u, 8u, 33u}) {
-    instances.push_back(make_leaves(count, 0x5EED + count));
-  }
-  std::vector<std::vector<std::span<const std::uint8_t>>> views(
-      instances.size());
-  std::vector<MerkleTree::LeafList> batch;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    for (const Bytes& leaf : instances[i]) {
-      views[i].emplace_back(leaf.data(), leaf.size());
-    }
-    batch.emplace_back(views[i]);
-  }
-  const std::vector<MerkleTree> trees = MerkleTree::build_views_batch(batch);
-  ASSERT_EQ(trees.size(), instances.size());
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    SCOPED_TRACE(::testing::Message() << "instance " << i << " leaves="
-                                      << instances[i].size());
-    const MerkleTree solo = MerkleTree::build_views(batch[i]);
-    EXPECT_EQ(trees[i].root(), solo.root());
-    EXPECT_EQ(trees[i].leaf_count(), solo.leaf_count());
-    for (std::size_t leaf = 0; leaf < instances[i].size(); ++leaf) {
-      EXPECT_EQ(trees[i].witness(leaf), solo.witness(leaf));
-      EXPECT_TRUE(MerkleTree::verify(trees[i].root(), instances[i].size(),
-                                     leaf, instances[i][leaf],
-                                     solo.witness(leaf)));
-    }
-  }
-}
-
-TEST(Merkle, BatchBuildEdgeShapes) {
-  // Empty batch is a no-op; a batch containing an empty leaf list throws
-  // like build_views does.
-  EXPECT_TRUE(MerkleTree::build_views_batch({}).empty());
-  const std::vector<MerkleTree::LeafList> bad(1);
-  EXPECT_THROW(MerkleTree::build_views_batch(bad), Error);
-}
-
 }  // namespace
 }  // namespace coca::crypto
