@@ -84,20 +84,5 @@ int main(int argc, char** argv) {
               "optimality evidence is the flat PiZ/(l*n) column = Theta(l n) "
               "bits, and the baseline ratio growing ~ n)\n",
               loglog_slope(xs_b, ours_b));
-
-  // ---- Part (c): wall-clock speedup of the parallel round schedule at the
-  // largest configured n, on the compute-heavy optimal-regime workload.
-  // Metered bits must be unchanged -- the schedule is a wall-clock knob only.
-  {
-    const int n = ns[std::size(ns) - 1];
-    const int threads = options().threads > 1 ? options().threads : 8;
-    const double log2n = std::log2(static_cast<double>(n));
-    const std::size_t ell_c =
-        static_cast<std::size_t>(256.0 * n * log2n * log2n);
-    const auto inputs = spread_inputs(n, ell_c, 1200 + static_cast<unsigned>(n));
-    std::printf("\n# T1c: parallel round-engine speedup at n = %d "
-                "(l = %zu bits)\n", n, ell_c);
-    report_parallel_speedup(pi_z, n, inputs, threads, max_t(n));
-  }
   return 0;
 }

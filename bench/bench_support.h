@@ -3,12 +3,10 @@
 // all experiments measure the exact same execution paths as the tests.
 #pragma once
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "ca/broadcast_ca.h"
@@ -19,46 +17,13 @@ namespace coca::bench {
 
 inline int max_t(int n) { return (n - 1) / 3; }
 
-inline std::string human_bits(std::uint64_t bits);
-
-/// Process-wide bench options. `threads` picks the SyncNetwork round-slice
-/// schedule for every measured run (see net::ExecPolicy); metered bits are
-/// schedule-independent, so tables are comparable across thread counts.
-struct Options {
-  int threads = 1;
-};
-
-inline Options& options() {
-  static Options opts;
-  return opts;
-}
-
-/// Parses shared bench flags: `--threads N` (or `--threads=N`), defaulting
-/// to the COCA_THREADS environment variable, then serial. Call first thing
-/// in every sweep bench's main().
+/// The sweep benches take no arguments; call first thing in main() so a
+/// stray flag fails loudly (exit 2) instead of being ignored.
 inline void parse_args(int argc, char** argv) {
-  options().threads = net::ExecPolicy::from_env().threads;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    int value = 0;
-    if (arg == "--threads" && i + 1 < argc) {
-      value = std::atoi(argv[++i]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      value = std::atoi(arg.data() + 10);
-    } else {
-      std::fprintf(stderr, "unknown argument: %.*s (supported: --threads N)\n",
-                   static_cast<int>(arg.size()), arg.data());
-      std::exit(2);
-    }
-    if (value < 1) {
-      std::fprintf(stderr, "--threads: need a positive integer\n");
-      std::exit(2);
-    }
-    options().threads = value;
-  }
-  if (options().threads > 1) {
-    std::printf("# engine: parallel round schedule, threads = %d\n",
-                options().threads);
+  if (argc > 1) {
+    std::fprintf(stderr, "unknown argument: %s (this bench takes none)\n",
+                 argv[1]);
+    std::exit(2);
   }
 }
 
@@ -113,7 +78,6 @@ inline Cost measure(const ca::CAProtocol& proto, int n,
   }
   cfg.extreme_low = BigInt(0);
   cfg.extreme_high = BigInt(BigNat::pow2(24), false);
-  cfg.threads = options().threads;
   const ca::SimResult r = ca::run_simulation(proto, cfg);
   if (!r.agreement() || !r.convex_validity(cfg.inputs)) {
     std::fprintf(stderr, "FATAL: property violation in bench run (%s)\n",
@@ -121,48 +85,6 @@ inline Cost measure(const ca::CAProtocol& proto, int n,
     std::abort();
   }
   return {r.stats.honest_bits(), r.stats.rounds};
-}
-
-/// Wall-clock of one measured run at an explicit thread count.
-struct TimedCost {
-  Cost cost;
-  double seconds = 0;
-};
-
-inline TimedCost measure_timed(const ca::CAProtocol& proto, int n,
-                               const std::vector<BigInt>& inputs, int threads,
-                               int byz_count = 0,
-                               adv::Kind kind = adv::Kind::kSilent) {
-  const int saved = options().threads;
-  options().threads = threads;
-  const auto start = std::chrono::steady_clock::now();
-  const Cost cost = measure(proto, n, inputs, byz_count, kind);
-  const auto stop = std::chrono::steady_clock::now();
-  options().threads = saved;
-  return {cost, std::chrono::duration<double>(stop - start).count()};
-}
-
-/// Runs `proto` serial and with `threads` workers on the same workload and
-/// prints the wall-clock speedup. Aborts if the metered bits or rounds
-/// differ -- the parallel schedule must be observationally identical.
-inline void report_parallel_speedup(const ca::CAProtocol& proto, int n,
-                                    const std::vector<BigInt>& inputs,
-                                    int threads, int byz_count = 0) {
-  const TimedCost serial = measure_timed(proto, n, inputs, 1, byz_count);
-  const TimedCost parallel =
-      measure_timed(proto, n, inputs, threads, byz_count);
-  if (serial.cost.bits != parallel.cost.bits ||
-      serial.cost.rounds != parallel.cost.rounds) {
-    std::fprintf(stderr,
-                 "FATAL: parallel schedule changed metered cost (%s)\n",
-                 proto.name().c_str());
-    std::abort();
-  }
-  std::printf("%s n=%d: serial %.3fs, %d threads %.3fs -> speedup %.2fx "
-              "(bits %s unchanged)\n",
-              proto.name().c_str(), n, serial.seconds, threads,
-              parallel.seconds, serial.seconds / parallel.seconds,
-              human_bits(serial.cost.bits).c_str());
 }
 
 /// Least-squares slope of log(y) against log(x): the empirical exponent.
@@ -189,7 +111,6 @@ inline net::RunStats run_subprotocol(
     int n, int t,
     const std::function<void(net::PartyContext&, int)>& body) {
   net::SyncNetwork net(n, t);
-  net.set_exec_policy(net::ExecPolicy::parallel(options().threads));
   for (int id = 0; id < n; ++id) {
     net.set_honest(id, [&body, id](net::PartyContext& ctx) { body(ctx, id); });
   }

@@ -93,7 +93,6 @@ std::vector<adv::FuzzCase> build_cases(const Config& cfg) {
     c.t = (cfg.n - 1) / 3;
     c.ell = cfg.ell;
     c.input_seed = cfg.seed + static_cast<std::uint64_t>(i);
-    c.threads = 1;
     cases.push_back(std::move(c));
   }
   return cases;

@@ -27,7 +27,6 @@ namespace {
       "  --fmax F           highest charged-party count swept "
       "(default t + 2)\n"
       "  --protocols A,B    targets to sweep (default: all)\n"
-      "  --threads K        ExecPolicy window for every run (default 0)\n"
       "  --seed S           honest-workload seed\n"
       "  --out FILE         write the campaign JSON artifact\n"
       "  --md FILE          write the markdown T-degrade table\n";
@@ -60,8 +59,6 @@ int main(int argc, char** argv) {
         while (std::getline(ss, item, ',')) {
           if (!item.empty()) cfg.protocols.push_back(item);
         }
-      } else if (arg == "--threads") {
-        cfg.threads = std::stoi(arg_value(argc, argv, i, arg));
       } else if (arg == "--seed") {
         cfg.input_seed = std::stoull(arg_value(argc, argv, i, arg));
       } else if (arg == "--out") {

@@ -101,7 +101,6 @@ DegradationRow run_cell(const DegradationConfig& cfg, int t,
   c.t = t;
   c.ell = cfg.ell;
   c.input_seed = cfg.input_seed;
-  c.threads = cfg.threads;
   c.faults = degradation_plan(kind, f, cfg.n);
   try {
     const FuzzOutcome out = execute_case(c);

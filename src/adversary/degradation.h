@@ -55,7 +55,6 @@ net::FaultPlan degradation_plan(FaultKind kind, int f, int n);
 struct DegradationConfig {
   int n = 7;
   std::size_t ell = 16;
-  int threads = 0;             // ExecPolicy for every run
   int f_max = -1;              // highest f swept; -1 = t + 2
   std::vector<std::string> protocols;  // empty = all known targets
   std::uint64_t input_seed = 0xD152'AD3;

@@ -45,7 +45,9 @@ void validate_case(const FuzzCase& c) {
             "FuzzCase: fault charged to a corrupted party");
   }
   require(c.mutation.max_delay >= 1, "FuzzCase: need max_delay >= 1");
-  require(c.threads >= 0, "FuzzCase: need threads >= 0");
+  require(c.threads == 0 || c.threads == 1,
+          "FuzzCase: threads must be 0 or 1 (every party runs as a fiber "
+          "on one thread; there is no thread window)");
 }
 
 namespace {
@@ -143,7 +145,6 @@ FuzzOutcome run_case(
   const Budget budget = budget_for(c);
   FuzzOutcome out;
   net::SyncNetwork net(c.n, c.t);
-  net.set_exec_policy(net::ExecPolicy{c.threads});
   if (!c.faults.empty()) net.set_fault_plan(c.faults);
   if (hooks.transcript != nullptr) net.set_transcript(hooks.transcript);
   if (hooks.tracer != nullptr) net.set_tracer(hooks.tracer);
@@ -1108,7 +1109,6 @@ FuzzCase Fuzzer::next_case() {
   c.input_seed = rng_.next_u64();
   c.mutation.seed = rng_.next_u64();
   c.mutation.max_delay = 1 + rng_.below(4);
-  c.threads = options_.threads;
   switch (rng_.below(4)) {
     case 0:
       break;  // default mix: mostly honest traffic, occasional strikes

@@ -45,7 +45,7 @@
 namespace coca::adv {
 
 /// One fully-specified fuzz execution. Equality is structural: two equal
-/// cases replay the same transcript under any ExecPolicy schedule.
+/// cases replay the same transcript.
 struct FuzzCase {
   std::string protocol;        // one of known_protocols()
   int n = 4;
@@ -54,7 +54,10 @@ struct FuzzCase {
   std::uint64_t input_seed = 0;  // honest workload generator seed
   std::vector<int> corrupted;  // parties wrapped in a Mutator
   MutatorConfig mutation;      // seed is the root; per-party streams derived
-  int threads = 0;             // ExecPolicy (0 = auto)
+  /// Former round-slice window; 0 or 1, both the one fiber schedule.
+  /// Kept only because perfbench/ sets it and corpus JSON carries the key;
+  /// delete it with the next benchmark change.
+  int threads = 0;
   /// Environment fault schedule (empty = none). Must be disjoint from
   /// `corrupted` (a party is either byzantine or environment-faulted, not
   /// both). Both may be empty: that is a plain honest run.
@@ -148,7 +151,6 @@ struct FuzzerOptions {
   std::uint64_t seed = 1;               // search-stream seed
   std::vector<std::string> protocols;   // empty = all known
   std::vector<int> sizes = {4, 7};      // candidate n values
-  int threads = 0;                      // ExecPolicy for every execution
   bool shrink = true;                   // minimize violations before report
   /// When set, roughly half the drawn cases also carry a sampled
   /// FaultPlan, with |corrupted| + |charged| kept <= t so every invariant

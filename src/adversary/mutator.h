@@ -25,7 +25,7 @@
 //
 // Determinism: all draws come from one Rng seeded by `MutatorConfig::seed`
 // and occur in the wrapped protocol's program order, so a (config, seed)
-// pair replays bit-for-bit under any ExecPolicy schedule.
+// pair replays bit-for-bit.
 //
 // Payloads arrive as shared views (one `send_all` buffer backs all n
 // recipients). Content operators take ownership via `detach()` -- a

@@ -51,7 +51,6 @@ struct AsyncNetwork::Impl {
   std::size_t next_seq = 0;
   bool abort = false;
   Scheduling policy = Scheduling::kFifo;
-  net::ExecPolicy exec_policy;  // recorded for driver uniformity; see header
   Rng sched_rng{1};
 
   // ---- Environment faults (windows in delivery steps); all guarded by mu.
@@ -91,11 +90,6 @@ AsyncNetwork::AsyncNetwork(int n, int t, Scheduling policy, std::uint64_t seed)
   impl_->role.assign(static_cast<std::size_t>(n), 0);
   impl_->policy = policy;
   impl_->sched_rng = Rng::stream(kSchedulerSeedDomain, seed);
-}
-
-void AsyncNetwork::set_exec_policy(net::ExecPolicy policy) {
-  require(policy.threads >= 0, "AsyncNetwork::set_exec_policy: bad threads");
-  impl_->exec_policy = policy;
 }
 
 void AsyncNetwork::set_fault_plan(net::FaultPlan plan) {

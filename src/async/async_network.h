@@ -29,7 +29,6 @@
 #include <functional>
 #include <memory>
 
-#include "net/exec_policy.h"
 #include "net/fault_plan.h"
 #include "net/payload.h"
 #include "util/common.h"
@@ -144,15 +143,6 @@ class AsyncNetwork {
   /// A never-installed... every id must get a role; use an empty function
   /// for a crashed (silent) process.
   void set_byzantine_process(int id, ProcessFn fn);
-
-  /// Accepts the shared driver scheduling policy. The asynchronous
-  /// scheduler *is* the adversary here: reproducibility of an adversarial
-  /// schedule requires exactly one process to execute between deliveries,
-  /// so every window collapses to serial execution -- the policy is
-  /// validated and recorded, and parallelism across independent
-  /// AsyncNetwork instances (e.g. bench sweeps) is the supported way to
-  /// use extra cores.
-  void set_exec_policy(net::ExecPolicy policy);
 
   /// Installs a schedule of environment faults with windows measured in
   /// scheduler *delivery steps* (the async notion of time). Only the fault

@@ -35,7 +35,6 @@ SimResult run_simulation(const CAProtocol& protocol, const SimConfig& config) {
   require(config.inputs.size() == static_cast<std::size_t>(config.n),
           "run_simulation: need one input slot per party");
   net::SyncNetwork net(config.n, config.t);
-  if (config.threads > 0) net.set_exec_policy({config.threads});
   if (config.transcript != nullptr) net.set_transcript(config.transcript);
   if (config.tracer != nullptr) net.set_tracer(config.tracer);
   SimResult result;

@@ -35,10 +35,6 @@ struct SimConfig {
   BigInt extreme_low = BigInt(-1'000'000'000);
   BigInt extreme_high = BigInt(1'000'000'000);
   std::size_t max_rounds = net::SyncNetwork::kDefaultMaxRounds;
-  /// Round-slice schedule: 0 = auto (COCA_THREADS env, default serial),
-  /// k >= 1 = at most k parties computing concurrently. Transcripts and
-  /// metered bits are schedule-independent (see net::ExecPolicy).
-  int threads = 0;
   /// Optional canonical message-transcript sink (must outlive the call).
   net::Transcript* transcript = nullptr;
   /// Optional observability tracer (fresh per run, must outlive the call);

@@ -1,52 +1,13 @@
-// Scheduling policy for the SyncNetwork round engine.
-//
-// Within a round, honest (and protocol-running corrupted) parties are
-// released from the round barrier in canonical runner-table order and
-// execute their round slice on at most `threads` OS threads at a time:
-//   threads == 1  -- serial reference schedule: exactly one party computes
-//                    at any moment, in runner-table order.
-//   threads == k  -- fixed-size window: up to k parties compute
-//                    concurrently; a new party is released as soon as a
-//                    slot frees up.
-//   threads == 0  -- auto: resolve from the COCA_THREADS environment
-//                    variable (absent/invalid -> serial).
-//
-// The policy is a pure wall-clock knob: party outboxes are thread-local and
-// merged at the round barrier in canonical (sender id, send sequence)
-// order, so delivery order, metered bits, and the rushing adversary's view
-// are bit-for-bit identical for every policy. tests/test_parallel_determinism
-// holds the engine to that contract.
+// Former scheduling policy of the SyncNetwork round engine. The engine now
+// runs every party as a fiber on one thread in canonical order, so there is
+// nothing left to choose. Kept only because perfbench/ still names
+// `ExecPolicy::serial()`; delete it with the next benchmark change.
 #pragma once
-
-#include <cstdlib>
-
-#include "util/common.h"
 
 namespace coca::net {
 
 struct ExecPolicy {
-  /// Max parties computing concurrently; 0 = resolve from COCA_THREADS.
-  int threads = 0;
-
-  static ExecPolicy serial() { return {1}; }
-
-  static ExecPolicy parallel(int threads) {
-    require(threads >= 1, "ExecPolicy::parallel: need threads >= 1");
-    return {threads};
-  }
-
-  /// Reads COCA_THREADS; out-of-range or unparsable values fall back to 1.
-  static ExecPolicy from_env() {
-    const char* env = std::getenv("COCA_THREADS");
-    if (env == nullptr) return serial();
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1 || v > 4096) return serial();
-    return {static_cast<int>(v)};
-  }
-
-  /// The effective window size (always >= 1).
-  int window() const { return threads == 0 ? from_env().threads : threads; }
+  static ExecPolicy serial() { return {}; }
 };
 
 }  // namespace coca::net

@@ -14,9 +14,9 @@
 // A plan is pure data: a replayable, schedule-independent description of
 // which faults fire in which rounds. The engines (SyncNetwork,
 // AsyncNetwork) interpret it deterministically, so the same (protocol,
-// inputs, plan, seed) tuple reproduces bit-identical transcripts under any
-// ExecPolicy -- fault schedules are corpus material for the fuzzer, not
-// one-off chaos.
+// inputs, plan, seed) tuple reproduces bit-identical transcripts on every
+// run -- fault schedules are corpus material for the fuzzer, not one-off
+// chaos.
 //
 // Round semantics (synchronous engine):
 //  * Crash [a, b): the party executes no protocol code during round slices
@@ -148,7 +148,7 @@ struct FaultStats {
 /// Structured per-party result of a guarded run (SyncNetwork::run_report).
 enum class Outcome {
   kDecided,  // protocol function returned normally
-  kTimedOut, // still running when the round cap (or watchdog) hit
+  kTimedOut, // still running when the round cap hit
   kCrashed,  // unwound by a FaultPlan crash-stop
   kAborted,  // protocol code threw; evidence carries the message
 };

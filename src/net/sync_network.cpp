@@ -1,13 +1,8 @@
 #include "net/sync_network.h"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
-#include <cstdlib>
 #include <exception>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "obs/obs.h"
@@ -16,9 +11,20 @@
 #include <ucontext.h>
 #include <unistd.h>
 
-// The fiber backend swaps user-space stacks, which ThreadSanitizer cannot
-// track without fiber annotations; under TSan the serial schedule falls
-// back to OS threads so the checker sees real threads.
+// Sanitizer builds annotate every fiber switch (see switch_fiber below) so
+// ASan tracks which stack is live and TSan sees each party as its own
+// fiber; everywhere else the annotations compile away.
+#if defined(__SANITIZE_ADDRESS__)
+#define COCA_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define COCA_ASAN 1
+#endif
+#endif
+#ifndef COCA_ASAN
+#define COCA_ASAN 0
+#endif
+
 #if defined(__SANITIZE_THREAD__)
 #define COCA_TSAN 1
 #elif defined(__has_feature)
@@ -28,6 +34,13 @@
 #endif
 #ifndef COCA_TSAN
 #define COCA_TSAN 0
+#endif
+
+#if COCA_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if COCA_TSAN
+#include <sanitizer/tsan_interface.h>
 #endif
 
 namespace coca::net {
@@ -80,15 +93,50 @@ class FiberStack {
   std::size_t page_ = 0;
 };
 
-bool fibers_enabled() {
-  if (COCA_TSAN) return false;
-  // Escape hatch: COCA_NO_FIBERS forces the OS-thread backend everywhere.
-  return std::getenv("COCA_NO_FIBERS") == nullptr;
+/// One execution context the controller or a runner can switch to: the
+/// saved registers plus what the sanitizers need to know about the stack
+/// it runs on. Outside sanitizer builds it is just the ucontext.
+struct Fiber {
+  ucontext_t ctx = {};
+#if COCA_ASAN
+  const void* stack_bottom = nullptr;  // learned on first entry for the
+  std::size_t stack_size = 0;          // controller; the mmap for runners
+  void* fake_stack = nullptr;          // ASan's per-fiber fake frames
+#endif
+#if COCA_TSAN
+  void* tsan = nullptr;  // __tsan_create_fiber, or the controller thread's
+#endif
+};
+
+/// Suspends `from` and resumes `to`: the one place the engine swaps stacks.
+/// `from_exits` marks a fiber's final switch, letting ASan drop its fake
+/// stack. Returns once something switches back to `from`.
+inline void switch_fiber(Fiber& from, Fiber& to, bool from_exits = false) {
+#if COCA_ASAN
+  __sanitizer_start_switch_fiber(from_exits ? nullptr : &from.fake_stack,
+                                 to.stack_bottom, to.stack_size);
+#endif
+#if COCA_TSAN
+  __tsan_switch_to_fiber(to.tsan, 0);
+#endif
+  (void)from_exits;
+  swapcontext(&from.ctx, &to.ctx);
+#if COCA_ASAN
+  __sanitizer_finish_switch_fiber(from.fake_stack, nullptr, nullptr);
+#endif
+}
+
+/// First statement of a fresh fiber: completes the switch that entered it
+/// and, under ASan, records the controller's stack bounds for switches back.
+inline void enter_fiber(Fiber& controller) {
+#if COCA_ASAN
+  __sanitizer_finish_switch_fiber(nullptr, &controller.stack_bottom,
+                                  &controller.stack_size);
+#endif
+  (void)controller;
 }
 
 }  // namespace
-
-bool fibers_available() { return fibers_enabled(); }
 
 std::vector<Envelope> first_per_sender(const std::vector<Envelope>& inbox) {
   // View copies only (refcount bumps); the rvalue overload does the work.
@@ -132,19 +180,9 @@ struct SyncNetwork::Runner {
   ProtocolFn fn;
   std::unique_ptr<PartyContext> ctx;
 
-  // ---- OS-thread backend (parallel windows, and serial under TSan).
-  std::thread thread;
-  // Barrier handshake, all guarded by Impl::mu. The controller releases a
-  // runner by setting `go` and signalling `cv`; the runner consumes `go`,
-  // runs its round slice, and parks again at the next advance(). While
-  // `in_flight` it occupies one of the policy's worker-window slots.
-  std::condition_variable cv;
-  bool go = false;
-  bool in_flight = false;
-
-  // ---- Fiber backend (serial schedule): the runner is a cooperative
-  // fiber on the controller's thread; a release is one stack swap.
-  ucontext_t fiber_ctx = {};
+  // The runner is a cooperative fiber on the controller's thread; a
+  // release is one stack swap.
+  Fiber fiber;
   std::unique_ptr<FiberStack> fiber_stack;
   Impl* impl = nullptr;  // backpointer for the fiber trampoline
 
@@ -161,12 +199,10 @@ struct SyncNetwork::Runner {
   bool decided = false;  // protocol function returned normally
 
   // Runner-local staging and metrics: written only by the runner's own
-  // execution context while Running, read by the controller only while the
-  // runner is parked at the barrier or finished (the barrier mutex orders
-  // these accesses in the thread backend; the fiber backend is single-
-  // threaded). Keeping the outbox runner-local is what makes the parallel
-  // schedule deterministic: sends never contend, and the controller merges
-  // outboxes in canonical runner-table order at the barrier.
+  // fiber while Running, read by the controller only while the runner is
+  // parked at the barrier or finished. The controller merges outboxes in
+  // canonical runner-table order at the barrier, so delivery order never
+  // depends on which party happened to send first.
   struct Staged {
     int to;
     Payload payload;
@@ -205,12 +241,6 @@ struct SyncNetwork::Runner {
   // ---- Observability (inert unless a tracer is installed for the run).
   int obs_track = -1;        // phase + kernel spans, send charges
   int obs_slice_track = -1;  // one span per executed round slice
-  bool slice_open = false;   // runner-context-only balance flag
-  // Payload deep copies performed on this runner's own OS thread (thread
-  // backend only; fibers share the controller thread, whose delta covers
-  // them). Recorded at thread exit, summed into RunStats.
-  std::uint64_t payload_copies = 0;
-  std::uint64_t payload_bytes_copied = 0;
 
   /// makecontext entry point: runs the protocol function inside the fiber
   /// and swaps back to the controller when it finishes (or unwinds).
@@ -229,13 +259,8 @@ struct SyncNetwork::Scripted {
 
 struct SyncNetwork::Impl {
   int n = 0;
-  std::mutex mu;
-  std::condition_variable cv_ctrl;  // controller waits for parks
-  std::size_t in_flight = 0;        // runners released and not yet parked
   bool abort = false;
-  bool fibers = false;               // backend chosen for the current run()
-  ucontext_t controller_ctx = {};
-  ExecPolicy policy;                 // default: auto (COCA_THREADS / serial)
+  Fiber controller;                  // the thread that called run()
   Transcript* transcript = nullptr;  // optional recording sink
   RoundObserver* round_observer = nullptr;  // optional per-round hook
   RoundRouter* router = nullptr;            // optional round transport
@@ -244,10 +269,8 @@ struct SyncNetwork::Impl {
   // ---- Observability (null tracer = every hook below is one branch).
   obs::Tracer* tracer = nullptr;
   int obs_engine_track = -1;
-  // Engine round of the slice currently executing. Written by the
-  // controller before releasing a wave (under `mu` in the thread backend,
-  // whose barrier handshake orders runner reads; trivially ordered in the
-  // single-threaded fiber backend).
+  // Engine round of the slice currently executing; set by the controller
+  // before it releases the round's first runner.
   std::size_t current_round = 0;
 
   std::vector<std::unique_ptr<Runner>> runners;
@@ -350,8 +373,8 @@ struct SyncNetwork::Impl {
   }
 
   /// Permutes the freshly routed inboxes of shuffle-covered recipients with
-  /// a per-(seed, party, round) stream: deterministic, independent of the
-  /// ExecPolicy, identical for both halves of a split-brain party.
+  /// a per-(seed, party, round) stream: deterministic, and identical for
+  /// both halves of a split-brain party.
   void apply_shuffles(std::size_t round) {
     if (plan.shuffles.empty()) return;
     const auto permute = [&](std::vector<Envelope>& inbox, int party,
@@ -436,8 +459,7 @@ struct SyncNetwork::Impl {
   }
 
   /// Delivers one round: all runners are parked (or finished), so their
-  /// outboxes and metrics are safe to touch. Backend-agnostic; the thread
-  /// backend calls this with the barrier mutex held. Returns false iff the
+  /// outboxes and metrics are safe to touch. Returns false iff the
   /// installed RoundRouter failed to carry the round (never without one).
   bool deliver_round(std::size_t round) {
     std::uint64_t round_honest_bytes = 0;
@@ -572,41 +594,12 @@ struct SyncNetwork::Impl {
   }
 
   int t_for_views = 0;  // network t, for RoundView
-
-  /// Releases every non-finished runner for one round slice, at most
-  /// `window` concurrently, in canonical runner-table order, and waits
-  /// until all of them are parked again (or finished). Runners frozen by a
-  /// crash-recovery window are skipped. Returns false on watchdog timeout.
-  /// Caller holds `lk`. (OS-thread backend.)
-  bool run_wave(std::unique_lock<std::mutex>& lk, std::size_t window,
-                std::size_t round) {
-    std::size_t next = 0;
-    for (;;) {
-      while (in_flight < window && next < runners.size()) {
-        Runner& r = *runners[next++];
-        if (r.state == Runner::State::Finished) continue;
-        if (skip_this_slice(r, round)) continue;
-        r.go = true;
-        r.in_flight = true;
-        ++in_flight;
-        r.cv.notify_one();
-      }
-      if (in_flight == 0 && next == runners.size()) return true;
-      // Watchdog: a round slice that takes this long means livelock in
-      // protocol code (all legitimate slices are short bursts of compute).
-      if (!cv_ctrl.wait_for(lk, std::chrono::seconds(300), [&] {
-            return in_flight == 0 ||
-                   (in_flight < window && next < runners.size());
-          })) {
-        return false;
-      }
-    }
-  }
 };
 
 void SyncNetwork::Runner::fiber_trampoline(unsigned hi, unsigned lo) {
   auto* r = reinterpret_cast<Runner*>((static_cast<std::uintptr_t>(hi) << 32) |
                                       static_cast<std::uintptr_t>(lo));
+  enter_fiber(r->impl->controller);
   try {
     r->state = State::Running;
     // A fiber first swapped in during an abort unwind, or with a round-0
@@ -623,7 +616,7 @@ void SyncNetwork::Runner::fiber_trampoline(unsigned hi, unsigned lo) {
     r->error = std::current_exception();
   }
   r->state = State::Finished;
-  swapcontext(&r->fiber_ctx, &r->impl->controller_ctx);
+  switch_fiber(r->fiber, r->impl->controller, /*from_exits=*/true);
 }
 
 SyncNetwork::SyncNetwork(int n, int t) : n_(n), t_(t) {
@@ -634,12 +627,7 @@ SyncNetwork::SyncNetwork(int n, int t) : n_(n), t_(t) {
   impl_->role_of_party.assign(static_cast<std::size_t>(n), 0);
 }
 
-SyncNetwork::~SyncNetwork() {
-  // run() joins all threads; if run() was never called, no threads exist.
-  for (auto& r : impl_->runners) {
-    ensure(!r->thread.joinable(), "SyncNetwork destroyed with live threads");
-  }
-}
+SyncNetwork::~SyncNetwork() = default;
 
 int PartyContext::n() const { return net_.n(); }
 int PartyContext::t() const { return net_.t(); }
@@ -730,11 +718,6 @@ void SyncNetwork::set_split_brain(int id, ProtocolFn a, ProtocolFn b,
       std::move(recipients_of_a);
   add_runner(id, /*honest=*/false, std::move(b)).allowed =
       std::move(recipients_of_b);
-}
-
-void SyncNetwork::set_exec_policy(ExecPolicy policy) {
-  require(policy.threads >= 0, "SyncNetwork::set_exec_policy: bad threads");
-  impl_->policy = policy;
 }
 
 void SyncNetwork::set_transcript(Transcript* sink) {
@@ -834,45 +817,16 @@ void SyncNetwork::runner_pop_phase(std::size_t runner_index) {
 
 std::vector<Envelope> SyncNetwork::runner_advance(std::size_t runner_index) {
   Runner& r = *impl_->runners[runner_index];
-  std::vector<Envelope> inbox;
-  if (impl_->fibers) {
-    // Cooperative barrier: one stack swap to the controller, which resumes
-    // this fiber at the start of the next round slice. No locks: the whole
-    // network runs on one OS thread. Slice spans and the kernel-span
-    // thread scope are managed by the controller around the swap.
-    r.state = Runner::State::AtBarrier;
-    swapcontext(&r.fiber_ctx, &impl_->controller_ctx);
-    if (impl_->abort) throw AbortSignal{};
-    if (r.crash_unwind) throw CrashSignal{};
-    r.state = Runner::State::Running;
-    r.fail_phase.clear();
-    inbox = std::exchange(r.inbox_next, {});
-  } else {
-    std::unique_lock lk(impl_->mu);
-    r.state = Runner::State::AtBarrier;
-    if (impl_->tracer != nullptr && r.slice_open) {
-      obs::thread_scope() = {};
-      impl_->tracer->end(r.obs_slice_track);
-      r.slice_open = false;
-    }
-    if (r.in_flight) {
-      r.in_flight = false;
-      --impl_->in_flight;
-    }
-    impl_->cv_ctrl.notify_one();
-    r.cv.wait(lk, [&] { return r.go || impl_->abort; });
-    if (impl_->abort) throw AbortSignal{};
-    if (r.crash_unwind) throw CrashSignal{};
-    r.go = false;
-    r.state = Runner::State::Running;
-    r.fail_phase.clear();
-    if (obs::Tracer* tr = impl_->tracer; tr != nullptr) {
-      tr->begin(r.obs_slice_track, "slice", "slice", impl_->current_round);
-      obs::thread_scope() = {tr, r.obs_track, impl_->current_round};
-      r.slice_open = true;
-    }
-    inbox = std::exchange(r.inbox_next, {});
-  }
+  // Cooperative barrier: one stack swap to the controller, which resumes
+  // this fiber at the start of the next round slice. Slice spans and the
+  // kernel-span thread scope are managed by the controller around the swap.
+  r.state = Runner::State::AtBarrier;
+  switch_fiber(r.fiber, impl_->controller);
+  if (impl_->abort) throw AbortSignal{};
+  if (r.crash_unwind) throw CrashSignal{};
+  r.state = Runner::State::Running;
+  r.fail_phase.clear();
+  std::vector<Envelope> inbox = std::exchange(r.inbox_next, {});
   // The runner entered the next round; let a tap flush held-back messages
   // before the wrapped protocol stages its own (staging is runner-local).
   ++r.local_round;
@@ -910,9 +864,6 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
     require(im.role_of_party[p] != 0,
             "SyncNetwork::run: every party needs a role before running");
   }
-  const std::size_t window =
-      static_cast<std::size_t>(std::max(1, im.policy.window()));
-  im.fibers = window == 1 && fibers_enabled();
   if (im.transcript) im.transcript->rounds.clear();
   im.build_routing_index();
   im.faults = FaultStats{};
@@ -936,12 +887,11 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
       }
       rp->obs_track = tr->add_track(label, "party", rp->honest);
       rp->obs_slice_track = tr->add_track(label + " slices", "slices", false);
-      rp->slice_open = false;
     }
   }
-  // Per-run payload-copy attribution: the controller thread's delta plus
-  // each runner thread's delta (fibers all run on the controller thread).
-  // Thread-local accounting keeps concurrent runs in other threads out.
+  // Per-run payload-copy attribution: every fiber runs on this thread, so
+  // its thread-local delta covers the whole run and keeps concurrent runs
+  // on other threads out.
   const std::uint64_t ctl_copies_before = PayloadMetrics::thread_copies();
   const std::uint64_t ctl_bytes_copied_before =
       PayloadMetrics::thread_bytes_copied();
@@ -950,7 +900,6 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
   std::size_t rounds = 0;
   std::exception_ptr failure;
   bool timed_out = false;
-  bool watchdog_fired = false;
   bool transport_failed = false;
   const auto begin_round_span = [&] {
     if (im.tracer != nullptr) {
@@ -990,139 +939,70 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
     return !timed_out;
   };
 
-  if (im.fibers) {
-    // ---- Fiber backend: every runner is a cooperative fiber; the
-    // controller swaps into each in canonical order, delivers, repeats.
+  // Every runner is a cooperative fiber; the controller swaps into each in
+  // canonical order, delivers, repeats.
+#if COCA_TSAN
+  im.controller.tsan = __tsan_get_current_fiber();
+#endif
+  for (auto& rp : im.runners) {
+    Runner& r = *rp;
+    r.impl = &im;
+    r.fiber_stack = std::make_unique<FiberStack>();
+    getcontext(&r.fiber.ctx);
+    r.fiber.ctx.uc_stack.ss_sp = r.fiber_stack->sp();
+    r.fiber.ctx.uc_stack.ss_size = r.fiber_stack->size();
+    r.fiber.ctx.uc_link = &im.controller.ctx;
+#if COCA_ASAN
+    r.fiber.stack_bottom = r.fiber_stack->sp();
+    r.fiber.stack_size = r.fiber_stack->size();
+#endif
+#if COCA_TSAN
+    r.fiber.tsan = __tsan_create_fiber(0);
+#endif
+    const auto ptr = reinterpret_cast<std::uintptr_t>(&r);
+    makecontext(&r.fiber.ctx,
+                reinterpret_cast<void (*)()>(&Runner::fiber_trampoline), 2,
+                static_cast<unsigned>(ptr >> 32),
+                static_cast<unsigned>(ptr & 0xFFFFFFFFu));
+  }
+  for (;;) {
+    im.current_round = rounds;
+    im.begin_slice_faults(rounds);
+    begin_round_span();
     for (auto& rp : im.runners) {
-      Runner& r = *rp;
-      r.impl = &im;
-      r.fiber_stack = std::make_unique<FiberStack>();
-      getcontext(&r.fiber_ctx);
-      r.fiber_ctx.uc_stack.ss_sp = r.fiber_stack->sp();
-      r.fiber_ctx.uc_stack.ss_size = r.fiber_stack->size();
-      r.fiber_ctx.uc_link = &im.controller_ctx;
-      const auto ptr = reinterpret_cast<std::uintptr_t>(&r);
-      makecontext(&r.fiber_ctx,
-                  reinterpret_cast<void (*)()>(&Runner::fiber_trampoline), 2,
-                  static_cast<unsigned>(ptr >> 32),
-                  static_cast<unsigned>(ptr & 0xFFFFFFFFu));
-    }
-    for (;;) {
-      im.current_round = rounds;
-      im.begin_slice_faults(rounds);
-      begin_round_span();
-      for (auto& rp : im.runners) {
-        if (rp->state == Runner::State::Finished) continue;
-        if (im.skip_this_slice(*rp, rounds)) continue;
-        if (obs::Tracer* tr = im.tracer; tr != nullptr) {
-          tr->begin(rp->obs_slice_track, "slice", "slice", rounds);
-          obs::thread_scope() = {tr, rp->obs_track, rounds};
-        }
-        swapcontext(&im.controller_ctx, &rp->fiber_ctx);
-        if (obs::Tracer* tr = im.tracer; tr != nullptr) {
-          obs::thread_scope() = {};
-          tr->end(rp->obs_slice_track);
-        }
+      if (rp->state == Runner::State::Finished) continue;
+      if (im.skip_this_slice(*rp, rounds)) continue;
+      if (obs::Tracer* tr = im.tracer; tr != nullptr) {
+        tr->begin(rp->obs_slice_track, "slice", "slice", rounds);
+        obs::thread_scope() = {tr, rp->obs_track, rounds};
       }
-      if (!close_round()) break;
-      ++rounds;
-    }
-    if (failure || timed_out) {
-      // Unwind every parked fiber so protocol stack frames run their
-      // destructors before the stacks are freed.
-      im.abort = true;
-      for (auto& rp : im.runners) {
-        if (rp->state != Runner::State::Finished) {
-          swapcontext(&im.controller_ctx, &rp->fiber_ctx);
-        }
+      switch_fiber(im.controller, rp->fiber);
+      if (obs::Tracer* tr = im.tracer; tr != nullptr) {
+        obs::thread_scope() = {};
+        tr->end(rp->obs_slice_track);
       }
-      im.abort = false;
-    } else {
-      im.record_leftovers(rounds);
     }
-    for (auto& rp : im.runners) rp->fiber_stack.reset();
+    if (!close_round()) break;
+    ++rounds;
+  }
+  if (failure || timed_out) {
+    // Unwind every parked fiber so protocol stack frames run their
+    // destructors before the stacks are freed.
+    im.abort = true;
+    for (auto& rp : im.runners) {
+      if (rp->state != Runner::State::Finished) {
+        switch_fiber(im.controller, rp->fiber);
+      }
+    }
+    im.abort = false;
   } else {
-    // ---- OS-thread backend. Launch runner threads; each waits for its
-    // first release so that the pre-first-advance protocol segment obeys
-    // the same schedule as every later round slice.
-    for (auto& rp : im.runners) {
-      Runner& r = *rp;
-      r.thread = std::thread([this, &r] {
-        const std::uint64_t copies0 = PayloadMetrics::thread_copies();
-        const std::uint64_t bytes_copied0 =
-            PayloadMetrics::thread_bytes_copied();
-        try {
-          {
-            std::unique_lock lk(impl_->mu);
-            r.cv.wait(lk, [&] { return r.go || impl_->abort; });
-            if (impl_->abort) throw AbortSignal{};
-            if (r.crash_unwind) throw CrashSignal{};
-            r.go = false;
-            r.state = Runner::State::Running;
-            if (obs::Tracer* tr = impl_->tracer; tr != nullptr) {
-              tr->begin(r.obs_slice_track, "slice", "slice",
-                        impl_->current_round);
-              obs::thread_scope() = {tr, r.obs_track, impl_->current_round};
-              r.slice_open = true;
-            }
-          }
-          r.fn(*r.ctx);
-          r.decided = true;
-        } catch (const AbortSignal&) {
-          // Controller-initiated unwind; not an error.
-        } catch (const CrashSignal&) {
-          std::lock_guard lk(impl_->mu);
-          r.crashed_by_plan = true;  // FaultPlan crash-stop; not an error.
-        } catch (...) {
-          std::lock_guard lk(impl_->mu);
-          r.error = std::current_exception();
-        }
-        std::lock_guard lk(impl_->mu);
-        if (impl_->tracer != nullptr && r.slice_open) {
-          obs::thread_scope() = {};
-          impl_->tracer->end(r.obs_slice_track);
-          r.slice_open = false;
-        }
-        r.payload_copies = PayloadMetrics::thread_copies() - copies0;
-        r.payload_bytes_copied =
-            PayloadMetrics::thread_bytes_copied() - bytes_copied0;
-        r.state = Runner::State::Finished;
-        if (r.in_flight) {
-          r.in_flight = false;
-          --impl_->in_flight;
-        }
-        impl_->cv_ctrl.notify_one();
-      });
-    }
-
-    {
-      std::unique_lock lk(im.mu);
-      for (;;) {
-        im.current_round = rounds;
-        im.begin_slice_faults(rounds);
-        begin_round_span();
-        if (!im.run_wave(lk, window, rounds)) {
-          timed_out = true;
-          watchdog_fired = true;
-          end_round_span();
-          break;
-        }
-        // All runners are parked; close (and maybe deliver) the round.
-        if (!close_round()) break;
-        ++rounds;
-      }
-
-      if (failure || timed_out) {
-        im.abort = true;
-        for (auto& r : im.runners) r->cv.notify_one();
-      } else {
-        im.record_leftovers(rounds);
-      }
-    }
-
-    for (auto& r : im.runners) {
-      if (r->thread.joinable()) r->thread.join();
-    }
+    im.record_leftovers(rounds);
+  }
+  for (auto& rp : im.runners) {
+#if COCA_TSAN
+    __tsan_destroy_fiber(rp->fiber.tsan);
+#endif
+    rp->fiber_stack.reset();
   }
 
   // Legacy (non-guarded) failure plumbing: the caller rethrows.
@@ -1131,13 +1011,11 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
     *failure_reason =
         transport_failed
             ? "SyncNetwork: transport failure: " + im.transport_error
-            : (watchdog_fired ? "SyncNetwork: round stalled (watchdog)"
-                              : "SyncNetwork: max round count exceeded");
+            : "SyncNetwork: max round count exceeded";
   }
 
   RunReport rep;
   rep.timed_out = timed_out;
-  rep.watchdog_fired = watchdog_fired;
   rep.transport_failed = transport_failed;
   rep.transport_error = im.transport_error;
   RunStats& stats = rep.stats;
@@ -1149,10 +1027,6 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
       PayloadMetrics::thread_bytes_copied() - ctl_bytes_copied_before;
   stats.bytes_by_party.assign(static_cast<std::size_t>(n_), 0);
   for (const auto& r : im.runners) {
-    // Runner-thread copy deltas are zero in the fiber backend (all fibers
-    // share the controller thread, already counted above).
-    stats.payload_copies += r->payload_copies;
-    stats.payload_bytes_copied += r->payload_bytes_copied;
     stats.bytes_by_party[static_cast<std::size_t>(r->party)] += r->bytes_sent;
     if (r->honest) {
       stats.honest_bytes += r->bytes_sent;

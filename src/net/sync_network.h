@@ -10,24 +10,23 @@
 // Honest parties run protocol code as straight-line functions;
 // `PartyContext::advance()` is the round barrier. This lets the
 // implementation mirror the paper's pseudocode one statement at a time.
-// Within a round the engine releases parties from the barrier under an
-// `ExecPolicy`: serially (the reference schedule) or on a fixed-size window
-// of `threads` concurrently-computing parties. Each party stages sends into
-// a runner-local outbox and draws from a per-party RNG stream split off the
-// root seed, so both schedules are bit-for-bit transcript-identical --
-// inboxes are ordered by sender id, metered bits are summed per party, and
-// honest control flow depends only on agreed values.
 //
-// Execution backends: the serial schedule (window == 1) runs every party as
-// a cooperative fiber on the controller's own OS thread -- context switches
-// are a user-space stack swap (~100 ns) instead of a kernel thread
-// round-trip, and no locks are taken anywhere. Parallel windows run parties
-// on dedicated OS threads behind the barrier mutex exactly as before. Both
-// backends execute parties in the same canonical order and produce
-// identical transcripts; under ThreadSanitizer the fiber backend is
-// disabled (serial falls back to OS threads) so the race checker sees real
-// threads. One caveat: the fiber backend cannot interrupt a party that
-// loops forever without calling advance() (the OS-thread watchdog can).
+// Every party runs as a cooperative ucontext fiber on the thread that
+// called run(): a release from the barrier is one user-space stack swap,
+// and no locks are taken anywhere. Within a round the controller resumes
+// parties in canonical runner-table order. Each party stages sends into a
+// runner-local outbox and draws from a per-party RNG stream split off the
+// root seed; inboxes are ordered by sender id, metered bits are summed per
+// party, and honest control flow depends only on agreed values -- so a
+// transcript is a function of the configuration alone. Fiber switches are
+// annotated for AddressSanitizer and ThreadSanitizer, so sanitizer builds
+// check this same engine. Each fiber stack is 1 MiB with a PROT_NONE guard
+// page below it: a party that overflows its stack kills the process with
+// SIGSEGV rather than corrupting a neighbouring fiber.
+//
+// One caveat: fibers cannot be preempted, so a party that loops forever
+// without calling advance() hangs the run. `max_rounds` bounds only
+// protocols that keep advancing; it is the engine's termination guard.
 //
 // Wire traffic is carried as refcounted immutable `Payload` views (see
 // net/payload.h): `send_all` stages one buffer shared by all n recipients,
@@ -86,10 +85,9 @@ constexpr std::uint64_t runner_stream_key(int party,
          static_cast<std::uint64_t>(runner_index);
 }
 
-/// True when the ucontext fiber backend is usable in this build/run
-/// (false under ThreadSanitizer or COCA_NO_FIBERS). Benchmarks report it so a
-/// measurement names the backend it ran on.
-bool fibers_available();
+/// Always true: fibers are the engine's only backend. Kept only because
+/// perfbench/ prints it; delete it with the next benchmark change.
+inline bool fibers_available() { return true; }
 
 /// A delivered message with its authenticated sender. The payload is a
 /// shared view: all recipients of one `send_all` alias one buffer.
@@ -100,9 +98,9 @@ struct Envelope {
 
 /// Everything observable about one execution, in canonical order: per round,
 /// the delivered messages (after the sender-id/sequence merge, byzantine
-/// traffic last) and the bytes the honest parties staged. Serial and
-/// parallel schedules of the same run must compare equal. Messages hold
-/// payload *views*; equality is content equality.
+/// traffic last) and the bytes the honest parties staged. Repeated runs of
+/// one configuration -- solo, sharded or wired -- must compare equal.
+/// Messages hold payload *views*; equality is content equality.
 struct Transcript {
   struct Msg {
     int from = -1;
@@ -230,8 +228,8 @@ class ByzantineStrategy {
 /// untouched views never observe the mutation.
 ///
 /// Determinism contract: the tap is driven solely by the runner's own
-/// execution context, in the wrapped protocol's program order, so tapped
-/// executions are transcript-identical across ExecPolicy schedules.
+/// execution context, in the wrapped protocol's program order, so a tapped
+/// execution replays to the same transcript.
 class SendTap {
  public:
   using Emit = std::function<void(int to, Payload payload)>;
@@ -263,8 +261,7 @@ class SendTap {
 /// authoritative totals come from RunStats.
 ///
 /// Implementations must not touch the network and must not block on
-/// anything fed by this same controller thread (in the OS-thread backend
-/// the hook runs with the barrier mutex held). Appending to a log that is
+/// anything fed by this same controller thread. Appending to a log that is
 /// read after the run -- what the sharded engine does -- is the intended
 /// shape.
 class RoundObserver {
@@ -307,12 +304,11 @@ struct RunStats {
 
 /// Structured result of a guarded run (`run_report`): per-party outcomes
 /// instead of hang-or-throw. `stats.rounds` is always the last *completed*
-/// round, including when the round cap or watchdog ended the run.
+/// round, including when the round cap ended the run.
 struct RunReport {
   RunStats stats;
   std::vector<PartyOutcome> outcomes;  // indexed by party id
-  bool timed_out = false;        // round cap (or watchdog) ended the run
-  bool watchdog_fired = false;   // a round slice stalled past the watchdog
+  bool timed_out = false;              // the round cap ended the run
 
   /// A RoundRouter failed to carry a round (socket error, daemon timeout,
   /// wire-integrity mismatch). The run ended like a round-cap hit --
@@ -355,14 +351,14 @@ class SyncNetwork {
   void set_split_brain(int id, ProtocolFn a, ProtocolFn b,
                        std::set<int> recipients_of_a);
 
-  /// Chooses the round-slice schedule (default: ExecPolicy auto, i.e.
-  /// COCA_THREADS or serial). Must be called before run().
-  void set_exec_policy(ExecPolicy policy);
+  /// No-op: the engine has one schedule. Kept only because perfbench/
+  /// calls it; delete it with the next benchmark change.
+  void set_exec_policy(ExecPolicy) {}
 
   /// Installs a schedule of environment faults (see net/fault_plan.h);
-  /// validated against n. The plan is interpreted identically under every
-  /// ExecPolicy, so faulty runs replay bit-for-bit. An empty plan (the
-  /// default) leaves every code path and metric untouched.
+  /// validated against n. The plan is case data, not a wall-clock event,
+  /// so faulty runs replay bit-for-bit. An empty plan (the default) leaves
+  /// every code path and metric untouched.
   void set_fault_plan(FaultPlan plan);
   const FaultPlan& fault_plan() const;
 
@@ -404,7 +400,7 @@ class SyncNetwork {
   /// Guarded run: every party step executes behind an exception barrier. A
   /// throwing party is marked `AbortedWithEvidence` (the run continues
   /// without it), a FaultPlan crash-stop marks it `Crashed`, hitting
-  /// `max_rounds` or the watchdog marks the stragglers `TimedOut` -- the
+  /// `max_rounds` marks the stragglers `TimedOut` -- the
   /// report always comes back with the last completed round in
   /// `stats.rounds`; nothing short of a simulator bug throws.
   RunReport run_report(std::size_t max_rounds = kDefaultMaxRounds);

@@ -137,8 +137,8 @@ std::string metrics_json(const Tracer& tracer, const RunMeta& meta,
   append_u64(out, meta.ell_bits);
   out += ", \"seed\": ";
   append_u64(out, meta.seed);
-  out += ", \"threads\": ";
-  append_u64(out, static_cast<std::uint64_t>(meta.threads));
+  // coca-metrics-v1 requires the key; the engine has one schedule.
+  out += ", \"threads\": 0";
   out += ", \"timing\": ";
   out += include_timing ? "true" : "false";
   if (!meta.notes.empty()) {

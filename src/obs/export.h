@@ -18,7 +18,6 @@ struct RunMeta {
   int t = 0;
   std::uint64_t ell_bits = 0;
   std::uint64_t seed = 0;
-  int threads = 0;  // 0/1 = serial fibers
   std::string notes;
 };
 

@@ -97,7 +97,6 @@ void WireClient::reader_loop() {
 }
 
 std::string WireClient::read_stream(FrameDecoder& decoder, bool* heartbeat) {
-  constexpr std::size_t kReadChunk = 64 * 1024;
   const RecoveryOptions& rec = options_.recovery;
   const bool probing = rec.enabled && rec.heartbeat_interval_ms > 0;
   auto last_alive = Clock::now();  // last inbound byte or probe sent
@@ -156,7 +155,7 @@ std::string WireClient::read_stream(FrameDecoder& decoder, bool* heartbeat) {
     }
     // Zero-copy receive: fill the decoder's pool slab directly; decoded
     // kDeliver payloads are views into it and flow to the protocol as-is.
-    const std::span<std::uint8_t> w = decoder.writable(kReadChunk);
+    const std::span<std::uint8_t> w = decoder.writable(FrameDecoder::kReadMin);
     const ssize_t got = ::read(fd_.get(), w.data(), w.size());
     if (got > 0) {
       last_alive = Clock::now();

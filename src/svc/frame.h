@@ -165,6 +165,12 @@ class FrameDecoder {
   /// `min` must be at most kMaxFramePayload + kHeaderSize. Do not call
   /// after failed().
   std::span<std::uint8_t> writable(std::size_t min = 1);
+  /// The `min` socket readers pass: a quarter slab. It must stay well below
+  /// the 64 KiB slab class: a fresh slab holds the carried partial frame
+  /// plus `min`, so asking for a whole slab would push every relocation that
+  /// carries a split frame into the 256 KiB class, and the pool's
+  /// high-water mark would depend on where reads happen to split frames.
+  static constexpr std::size_t kReadMin = 16 * 1024;
   /// Marks `n` bytes of the last writable() span as filled by the reader.
   void commit(std::size_t n);
 

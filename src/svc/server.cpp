@@ -19,10 +19,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Bytes asked of the socket per read; the decoder returns at least this
-/// much writable slab tail.
-constexpr std::size_t kReadChunk = 64 * 1024;
-
 std::uint16_t read_u16(std::span<const std::uint8_t> b, std::size_t off) {
   return static_cast<std::uint16_t>(b[off] | (b[off + 1] << 8));
 }
@@ -199,7 +195,7 @@ void Daemon::conn_ready(int fd, std::uint32_t events) {
   for (;;) {
     // Zero-copy receive: the socket fills the decoder's pool slab directly;
     // decoded frame payloads are views into that same slab.
-    const std::span<std::uint8_t> w = c.decoder.writable(kReadChunk);
+    const std::span<std::uint8_t> w = c.decoder.writable(FrameDecoder::kReadMin);
     const ssize_t got = ::read(fd, w.data(), w.size());
     if (got > 0) {
       stats_.bytes_received.fetch_add(static_cast<std::uint64_t>(got),

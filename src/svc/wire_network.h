@@ -55,7 +55,6 @@ class WireNetwork {
     net_.set_split_brain(id, std::move(a), std::move(b),
                          std::move(recipients_of_a));
   }
-  void set_exec_policy(net::ExecPolicy policy) { net_.set_exec_policy(policy); }
   void set_fault_plan(net::FaultPlan plan) {
     net_.set_fault_plan(std::move(plan));
   }

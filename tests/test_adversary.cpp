@@ -102,37 +102,6 @@ TEST(Installer, ProtocolKindsRequireHooks) {
   EXPECT_NO_THROW(install(net, 2, Kind::kGarbage, {}));
 }
 
-// Every corruption kind (scripted strategies, extreme-input corruptions,
-// the split-brain equivocator) runs under the parallel round engine at
-// least once, and the honest parties' decisions -- outputs, metered bits,
-// and rounds -- are the same as under the serial reference schedule. This
-// is the adversary-facing slice of the transcript-equivalence contract:
-// rushing strategies observe the identical honest traffic either way.
-TEST(Installer, AllKindsDecideIdenticallyUnderParallelEngine) {
-  const ca::ConvexAgreement proto;
-  const auto run_with = [&proto](Kind kind, int threads) {
-    ca::SimConfig cfg;
-    cfg.n = 7;
-    cfg.t = 2;
-    for (int id = 0; id < cfg.n; ++id) {
-      cfg.inputs.emplace_back(1000 + 37 * id);
-    }
-    cfg.corruptions.push_back({2, kind});
-    cfg.threads = threads;
-    return ca::run_simulation(proto, cfg);
-  };
-  for (const Kind kind : kAllKinds) {
-    SCOPED_TRACE(to_string(kind));
-    const ca::SimResult serial = run_with(kind, 1);
-    const ca::SimResult parallel = run_with(kind, 3);
-    EXPECT_TRUE(serial.agreement());
-    EXPECT_EQ(serial.outputs, parallel.outputs);
-    EXPECT_EQ(serial.stats.honest_bytes, parallel.stats.honest_bytes);
-    EXPECT_EQ(serial.stats.rounds, parallel.stats.rounds);
-    EXPECT_EQ(serial.stats.bytes_by_party, parallel.stats.bytes_by_party);
-  }
-}
-
 TEST(Installer, NamesAreUniqueAndStable) {
   std::set<std::string_view> names;
   for (const Kind kind : kAllKinds) {

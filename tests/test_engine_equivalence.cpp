@@ -43,7 +43,6 @@ std::vector<adv::FuzzCase> mixed_cases(const std::string& protocol) {
     c.t = (c.n - 1) / 3;
     c.ell = big ? 8 : kElls[i % std::size(kElls)];
     c.input_seed = 0xE11E000ULL + i;
-    c.threads = 1;
     if (i == 3 || i == 11) {
       // Byzantine instance: one corrupted party under the default mix.
       c.corrupted = {static_cast<int>(i) % c.n};
@@ -152,7 +151,6 @@ TEST(EngineEquivalence, CrossProtocolMix) {
       c.t = 1;
       c.ell = 16;
       c.input_seed = 0xA11ULL + seed;
-      c.threads = 1;
       cases.push_back(std::move(c));
     }
   }

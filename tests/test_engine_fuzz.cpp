@@ -32,7 +32,6 @@ namespace {
 TEST(EngineIsolation, FuzzerDrawnVictimsLeaveNeighborsUntouched) {
   adv::FuzzerOptions fo;
   fo.seed = 0x15014710ULL;
-  fo.threads = 1;
   fo.faults = true;  // roughly half the draws add an environment FaultPlan
   adv::Fuzzer fuzzer(fo);
   for (int draw = 0; draw < 8; ++draw) {
@@ -63,7 +62,6 @@ TEST(EngineIsolation, AggressiveSendTapVictimAcrossWorkerCounts) {
   victim.corrupted = {2};
   victim.mutation.seed = 99;
   victim.mutation.weights = {4, 4, 4, 4, 4, 4, 4, 2, 4};
-  victim.threads = 1;
   for (const int workers : {1, 2, 8}) {
     SCOPED_TRACE(::testing::Message() << "workers=" << workers);
     ShardedCaseOptions opt;
@@ -86,7 +84,6 @@ TEST(EngineIsolation, VictimVerdictMatchesSoloRun) {
   victim.input_seed = 5;
   victim.corrupted = {1};
   victim.mutation.seed = 6;
-  victim.threads = 1;
   const adv::FuzzOutcome solo = adv::execute_case(victim);
   ShardedCaseOptions opt;
   opt.instances = 4;

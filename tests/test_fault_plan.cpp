@@ -4,8 +4,7 @@
 //
 // The load-bearing claims tested here:
 //   * replay determinism -- a fault-bearing case produces bit-identical
-//     transcripts under any ExecPolicy schedule (faults are data, not
-//     wall-clock events);
+//     transcripts run after run (faults are data, not wall-clock events);
 //   * crash-recovery round-trips -- a party frozen for rounds [a, b)
 //     resumes from its own stack (the "persisted state") and the remaining
 //     parties still satisfy every invariant, for every protocol target;
@@ -14,7 +13,7 @@
 //     bit-identical for all protocol targets;
 //   * graceful timeouts -- a run that hits the round cap ends with
 //     structured TimedOut outcomes instead of an exception, with no stuck
-//     fibers/threads left behind.
+//     fibers left behind.
 #include "net/fault_plan.h"
 
 #include <gtest/gtest.h>
@@ -212,28 +211,24 @@ TEST(SyncFaults, TimedOutRunsReportInsteadOfThrowing) {
   // Satellite contract: hitting the round cap in a guarded run yields
   // structured TimedOut outcomes carrying the last completed round, while
   // the legacy run() keeps its exact Error behaviour; repeated early exits
-  // must not leak fibers or OS threads (the ASSERTs below would deadlock
-  // or crash on a leak, and LSan/TSan builds would flag it).
-  for (const int threads : {1, 4}) {
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      SyncNetwork net(4, 1);
-      net.set_exec_policy(ExecPolicy{threads});
-      for (int id = 0; id < 4; ++id) {
-        net.set_honest(id, [](PartyContext& ctx) {
-          for (int r = 0; r < 1000; ++r) {
-            ctx.send_all(Bytes{0x01});
-            (void)ctx.advance();
-          }
-        });
-      }
-      const RunReport report = net.run_report(/*max_rounds=*/10);
-      EXPECT_TRUE(report.timed_out);
-      EXPECT_FALSE(report.watchdog_fired);
-      EXPECT_EQ(report.stats.rounds, 10u);
-      for (const PartyOutcome& o : report.outcomes) {
-        EXPECT_EQ(o.outcome, Outcome::kTimedOut);
-        EXPECT_NE(o.evidence.find("still running"), std::string::npos);
-      }
+  // must not leak fibers (the ASSERTs below would crash on a leak, and
+  // ASan/LSan builds would flag it).
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    SyncNetwork net(4, 1);
+    for (int id = 0; id < 4; ++id) {
+      net.set_honest(id, [](PartyContext& ctx) {
+        for (int r = 0; r < 1000; ++r) {
+          ctx.send_all(Bytes{0x01});
+          (void)ctx.advance();
+        }
+      });
+    }
+    const RunReport report = net.run_report(/*max_rounds=*/10);
+    EXPECT_TRUE(report.timed_out);
+    EXPECT_EQ(report.stats.rounds, 10u);
+    for (const PartyOutcome& o : report.outcomes) {
+      EXPECT_EQ(o.outcome, Outcome::kTimedOut);
+      EXPECT_NE(o.evidence.find("still running"), std::string::npos);
     }
   }
   SyncNetwork strict(4, 1);
@@ -342,8 +337,8 @@ TEST(ProtocolFaults, InboxPermutationIsInvisibleEveryProtocol) {
 
 TEST(ProtocolFaults, FaultReplayIsDeterministicAcrossSchedules) {
   // A composite plan (crash-recovery + directed cut + shuffles) replays to
-  // the same transcript serially and under an 8-thread window: faults are
-  // part of the case data, not wall-clock events.
+  // the same transcript every time: faults are part of the case data, not
+  // wall-clock events.
   for (const std::string& protocol : {std::string("PiZ"),
                                       std::string("BAPlus"),
                                       std::string("FixedLengthCA")}) {
@@ -352,19 +347,14 @@ TEST(ProtocolFaults, FaultReplayIsDeterministicAcrossSchedules) {
     plan.crashes.push_back({1, 2, 4});
     plan.cuts.push_back({1, 0, 5, 9});
     plan.shuffles.push_back({-1, 99});
-    adv::FuzzCase c = fault_case(protocol, std::move(plan));
-    c.threads = 1;
-    Transcript serial1, serial2, windowed;
+    const adv::FuzzCase c = fault_case(protocol, std::move(plan));
+    Transcript serial1, serial2;
     const adv::FuzzOutcome s1 = adv::execute_case(c, &serial1);
     const adv::FuzzOutcome s2 = adv::execute_case(c, &serial2);
-    c.threads = 8;
-    const adv::FuzzOutcome w = adv::execute_case(c, &windowed);
     EXPECT_EQ(serial1, serial2);
-    EXPECT_EQ(serial1, windowed);
     EXPECT_EQ(s1.verdict.violations, s2.verdict.violations);
-    EXPECT_EQ(s1.verdict.violations, w.verdict.violations);
-    EXPECT_EQ(s1.stats.rounds, w.stats.rounds);
-    EXPECT_EQ(s1.stats.honest_bytes, w.stats.honest_bytes);
+    EXPECT_EQ(s1.stats.rounds, s2.stats.rounds);
+    EXPECT_EQ(s1.stats.honest_bytes, s2.stats.honest_bytes);
   }
 }
 

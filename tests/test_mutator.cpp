@@ -1,6 +1,6 @@
 // The mutation adversary itself: operator behaviour, the SendTap wiring
 // through SyncNetwork, and the determinism contract (same seed => same
-// transcript, under any ExecPolicy schedule) that corpus replay relies on.
+// transcript) that corpus replay relies on.
 #include "adversary/mutator.h"
 
 #include <gtest/gtest.h>
@@ -15,10 +15,8 @@ constexpr int kRounds = 6;
 /// All-honest-code network of n parties where every party broadcasts a
 /// distinct beacon each round; party `byz` runs the same code behind a
 /// Mutator with `config`. Returns the canonical transcript.
-net::Transcript beacon_run(int n, int byz, MutatorConfig config,
-                           int threads = 1) {
+net::Transcript beacon_run(int n, int byz, MutatorConfig config) {
   net::SyncNetwork net(n, 1);
-  net.set_exec_policy({threads});
   net::Transcript transcript;
   net.set_transcript(&transcript);
   const auto beacon = [](net::PartyContext& ctx) {
@@ -184,16 +182,6 @@ TEST(Mutator, DifferentSeedsDiverge) {
   MutatorConfig b;
   b.seed = 2;
   EXPECT_NE(beacon_run(5, 1, a), beacon_run(5, 1, b));
-}
-
-TEST(Mutator, TranscriptIsScheduleIndependent) {
-  MutatorConfig config;
-  config.seed = 1234;
-  const net::Transcript serial = beacon_run(5, 3, config, /*threads=*/1);
-  for (const int threads : {2, 8}) {
-    EXPECT_EQ(serial, beacon_run(5, 3, config, threads))
-        << "threads=" << threads;
-  }
 }
 
 TEST(Mutator, OpCountsCoverEveryOperatorUnderDefaultWeights) {

@@ -2,10 +2,18 @@
 // rushing byzantine strategies, split-brain equivocation.
 #include "net/sync_network.h"
 
+#include <csignal>
+
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include "adversary/fuzzer.h"
 #include "adversary/strategies.h"
+#include "ba/phase_king.h"
+#include "ba/turpin_coan.h"
+#include "ca/fixed_length_ca.h"
 #include "tests/support.h"
 #include "util/wire.h"
 
@@ -247,6 +255,98 @@ TEST(SyncNetwork, DeterministicAcrossRuns) {
     return run.outputs;
   };
   EXPECT_EQ(execute(), execute());
+}
+
+TEST(SyncNetwork, TranscriptMetersSumToRunTotals) {
+  // Per-round honest bytes must add up to the run's honest-byte meter, so
+  // "identical per-round metered bits" is the same statement as "identical
+  // transcripts" plus this test.
+  constexpr int kN = 7;
+  constexpr std::size_t kEll = 64;
+  ba::PhaseKingBinary bin;
+  ba::TurpinCoan tc{bin};
+  const ca::FixedLengthCA proto{ba::BAKit{&bin, &tc}};
+  SyncNetwork net(kN, 2);
+  Transcript transcript;
+  net.set_transcript(&transcript);
+  for (int id = 0; id < kN; ++id) {
+    if (id == 0 || id == 2) {
+      net.set_byzantine(id, std::make_shared<adv::Replay>());
+      continue;
+    }
+    net.set_honest(id, [&proto, id](PartyContext& ctx) {
+      // Top bit set so every party's value has the same length.
+      Bitstring v = Rng::stream(7, static_cast<std::uint64_t>(id)).bits(kEll);
+      v.set_bit(0, true);
+      (void)proto.run(ctx, kEll, v);
+    });
+  }
+  const RunStats stats = net.run();
+  std::uint64_t sum = 0;
+  for (const auto& round : transcript.rounds) sum += round.honest_bytes;
+  EXPECT_EQ(sum, stats.honest_bytes);
+  EXPECT_GE(transcript.rounds.size(), stats.rounds);
+}
+
+// Recurses with 1 KiB frames -- smaller than the guard page, so the descent
+// cannot step over it -- far past the 1 MiB fiber stack. The volatile reads
+// after the call keep every frame alive, so it cannot become a loop.
+[[gnu::noinline]] std::size_t overflow_stack(std::size_t depth) {
+  volatile char frame[1024];
+  frame[0] = 1;
+  const std::size_t below = depth == 0 ? 0 : overflow_stack(depth - 1);
+  return below + static_cast<std::size_t>(frame[0] + frame[sizeof frame - 1]);
+}
+
+constexpr std::size_t kFiberStack = std::size_t{1} << 20;
+// An address near the top of the overflowing party's stack, recorded at its
+// first statement; its guard page lies 1 MiB below.
+char* volatile overflow_stack_top = nullptr;
+
+// Runs on an alternate stack. A fault on the overflowing party's own guard
+// page is re-raised with the default action (the process dies by SIGSEGV);
+// any other fault -- e.g. after running through a neighbour's stack into
+// that neighbour's guard page -- exits with code 3 instead.
+void on_stack_fault(int, siginfo_t* info, void*) {
+  const auto* addr = static_cast<const char*>(info->si_addr);
+  const char* guard = overflow_stack_top - kFiberStack;
+  constexpr std::size_t kSlack = 64 << 10;  // frames above the marker, page
+  if (addr < guard - kSlack || addr > guard + kSlack) ::_exit(3);
+  std::signal(SIGSEGV, SIG_DFL);
+}
+
+// Party 1 overflows while parties 0 and 2 -- whose stacks are mapped next to
+// its own -- sit parked at the barrier.
+void run_with_one_overflowing_party() {
+  const rlimit no_core{0, 0};
+  ::setrlimit(RLIMIT_CORE, &no_core);
+  static char alt_stack[1 << 16];
+  stack_t ss{};
+  ss.ss_sp = alt_stack;
+  ss.ss_size = sizeof alt_stack;
+  ::sigaltstack(&ss, nullptr);
+  struct sigaction sa{};
+  sa.sa_sigaction = on_stack_fault;
+  sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+  ::sigaction(SIGSEGV, &sa, nullptr);
+  SyncNetwork net(3, 0);
+  for (int id = 0; id < 3; ++id) {
+    net.set_honest(id, [id](PartyContext& ctx) {
+      char marker = 0;
+      if (id == 1) overflow_stack_top = &marker;
+      (void)ctx.advance();
+      if (id == 1) (void)overflow_stack(std::size_t{1} << 20);
+      (void)ctx.advance();
+    });
+  }
+  (void)net.run();
+}
+
+TEST(SyncNetworkDeathTest, StackOverflowDiesOnTheGuardPage) {
+  // The PROT_NONE page below the overflowing fiber's stack must stop the
+  // descent with SIGSEGV before it reaches a neighbour's stack.
+  EXPECT_EXIT(run_with_one_overflowing_party(),
+              ::testing::KilledBySignal(SIGSEGV), "");
 }
 
 // ---- Phase meter semantics. Each test pins both public views in full

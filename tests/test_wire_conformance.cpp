@@ -93,7 +93,6 @@ adv::FuzzCase base_case(const std::string& protocol, int n) {
   c.t = (n - 1) / 3;
   c.ell = 16;
   c.input_seed = 0xC0CA + n;
-  c.threads = 1;
   return c;
 }
 
@@ -146,6 +145,17 @@ TEST_F(WireConformance, RoundTripIsZeroCopyAndAllocationFree) {
   // rounds, which makes steady-state slab demand depend on read
   // fragmentation. Retention's own pool discipline (no leak once sessions
   // close) is asserted by the wire-recovery chaos suite.
+  //
+  // The pool allocates only when more slabs are live than ever before, and
+  // how many are live at once depends on timing: the daemon holds a round's
+  // receive slabs until its relay write completes, and the client reader
+  // may fill its own slabs for that round before or after that. One warm-up
+  // of the measured shape therefore reaches the worst case only sometimes.
+  // The warm-up instead broadcasts 4x larger messages: the daemon alone then
+  // holds at least 13 slabs for a round (49 frames of ~16 KiB, at most
+  // 64 KiB per slab), more than a 4 KiB round can ever pin on both sides
+  // together (each side spans at most 6 slabs, since a reader only leaves a
+  // slab once less than FrameDecoder::kReadMin of it is free).
   const std::string path = unique_uds_path("zerocopy");
   svc::DaemonOptions dopt;
   dopt.uds_path = path;
@@ -153,14 +163,14 @@ TEST_F(WireConformance, RoundTripIsZeroCopyAndAllocationFree) {
   svc::Daemon daemon(dopt);
   daemon.start();
   const auto client = svc::WireClient::connect_uds_path(path);
-  const auto broadcast_session = [&client]() {
+  const auto broadcast_session = [&client](std::size_t message_bytes) {
     const auto session = client->open(7, 2);
     net::SyncNetwork net(7, 2);
     net.set_round_router(session.get());
     for (int i = 0; i < 7; ++i) {
-      net.set_honest(i, [](net::PartyContext& ctx) {
+      net.set_honest(i, [message_bytes](net::PartyContext& ctx) {
         for (int r = 0; r < 5; ++r) {
-          Bytes big(4096, static_cast<std::uint8_t>(r));
+          Bytes big(message_bytes, static_cast<std::uint8_t>(r));
           ctx.send_all(std::move(big));
           ctx.advance();
         }
@@ -168,10 +178,10 @@ TEST_F(WireConformance, RoundTripIsZeroCopyAndAllocationFree) {
     }
     return net.run();
   };
-  (void)broadcast_session();  // warm-up: pool reaches its high-water mark
+  (void)broadcast_session(4 * 4096);  // warm-up past the high-water mark
   const std::uint64_t warm =
       net::BufferPool::instance().stats().slab_allocs;
-  const net::RunStats stats = broadcast_session();
+  const net::RunStats stats = broadcast_session(4096);
   const std::uint64_t steady =
       net::BufferPool::instance().stats().slab_allocs - warm;
   EXPECT_EQ(stats.payload_copies, 0u);
@@ -179,14 +189,6 @@ TEST_F(WireConformance, RoundTripIsZeroCopyAndAllocationFree) {
   EXPECT_EQ(steady, 0u) << "steady-state sessions must reuse pooled slabs";
   daemon.stop();
   ::unlink(path.c_str());
-}
-
-TEST_F(WireConformance, OsThreadBackendOverWire) {
-  // threads > 1 selects the OS-thread party backend; the round barrier
-  // still funnels through one router call per round.
-  adv::FuzzCase c = base_case("BAPlus", 4);
-  c.threads = 4;
-  expect_conformant(c);
 }
 
 TEST_F(WireConformance, WireNetworkFacadeRunsProtocol) {

@@ -61,7 +61,6 @@ adv::FuzzCase base_case(const std::string& protocol, int n) {
   c.t = (n - 1) / 3;
   c.ell = 16;
   c.input_seed = 0xC0CA + n;
-  c.threads = 1;
   return c;
 }
 

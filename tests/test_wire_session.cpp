@@ -51,7 +51,6 @@ TEST(WireSession, SixteenInterleavedSessionsMatchSoloRuns) {
       c.t = 1;
       c.ell = 16;
       c.input_seed = 0x5E55 + i;
-      c.threads = 1;
       cases.push_back(std::move(c));
     }
 
@@ -220,7 +219,6 @@ TEST(WireSession, TcpLoopbackCarriesSessionsToo) {
     c.t = 1;
     c.ell = 16;
     c.input_seed = 42;
-    c.threads = 1;
     net::Transcript solo_tr;
     const adv::FuzzOutcome solo = adv::execute_case(c, &solo_tr);
     net::Transcript wire_tr;

@@ -18,7 +18,7 @@
 //                                         # wire-fault kind, bit-identical
 //                                         # convergence enforced
 //
-// The matrix is pinned (protocol, n, ell, threads, seed) so runs are
+// The matrix is pinned (protocol, n, ell, seed) so runs are
 // comparable across commits; every entry reports wall-clock seconds,
 // honest_bits, rounds, and payload_copies. Full runs additionally sweep a
 // fault matrix -- one crash-recovery configuration at f = t per protocol
@@ -171,7 +171,6 @@ FaultResult run_fault_entry(const FaultEntry& e, int reps) {
   c.t = max_t(e.n);
   c.ell = e.ell;
   c.input_seed = e.seed;
-  c.threads = 1;
   c.faults =
       adv::degradation_plan(adv::FaultKind::kCrashRecovery, c.t, c.n);
   FaultResult out{e};
@@ -216,7 +215,6 @@ std::vector<ThroughputResult> run_throughput_matrix(int reps) {
     c.t = 2;
     c.ell = std::size_t{1} << 14;
     c.input_seed = 0x7B06 + static_cast<std::uint64_t>(i);
-    c.threads = 1;
     cases.push_back(std::move(c));
   }
   std::vector<ThroughputResult> rows;
@@ -300,7 +298,6 @@ std::vector<WireResult> run_wire_matrix(int reps,
       c.t = 2;
       c.ell = 256;
       c.input_seed = seed++;
-      c.threads = 1;
 
       double sim_seconds = 1e100;
       adv::FuzzOutcome sim;
@@ -400,7 +397,6 @@ std::vector<WireFaultBenchResult> run_wire_fault_matrix(int reps) {
     c.t = 2;
     c.ell = 256;
     c.input_seed = seed;
-    c.threads = 1;
 
     svc::WireFaultPlan::Entry e;
     e.kind = kind;
@@ -524,7 +520,6 @@ Result run_entry(const Entry& e, int reps, bool trace) {
   }
   cfg.extreme_low = BigInt(0);
   cfg.extreme_high = BigInt(BigNat::pow2(24), false);
-  cfg.threads = 1;
 
   Result out{e};
   out.seconds = 1e100;

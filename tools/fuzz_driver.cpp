@@ -52,7 +52,6 @@ using coca::adv::FuzzerOptions;
       "  --protocols A,B,...  targets to sweep (default: all; see --list)\n"
       "  --n N1,N2,...        network sizes to draw from (default 4,7)\n"
       "  --seed S             search-stream seed (default 1)\n"
-      "  --threads K          ExecPolicy window for every run (default 0 = auto)\n"
       "  --faults             also draw environment fault plans (crashes,\n"
       "                       link cuts, partitions, shuffles) as a search\n"
       "                       dimension, keeping |corrupted|+|charged| <= t\n"
@@ -95,8 +94,7 @@ std::string arg_value(int argc, char** argv, int& i, const std::string& flag) {
   return argv[++i];
 }
 
-int replay(const std::string& path, int threads_override, bool has_threads,
-           bool sharded) {
+int replay(const std::string& path, bool sharded) {
   std::ifstream in(path);
   if (!in) {
     std::cerr << "fuzz_driver: cannot open " << path << "\n";
@@ -104,8 +102,7 @@ int replay(const std::string& path, int threads_override, bool has_threads,
   }
   std::stringstream buf;
   buf << in.rdbuf();
-  CorpusEntry entry = coca::adv::corpus_entry_from_json(buf.str());
-  if (has_threads) entry.c.threads = threads_override;
+  const CorpusEntry entry = coca::adv::corpus_entry_from_json(buf.str());
   if (sharded) {
     const coca::engine::IsolationReport report =
         coca::engine::check_isolation(entry.c, coca::engine::ShardedCaseOptions{});
@@ -127,7 +124,7 @@ int replay(const std::string& path, int threads_override, bool has_threads,
   const auto outcome = coca::adv::execute_case(entry.c);
   std::cout << "replay " << path << " (" << entry.c.protocol
             << ", n=" << entry.c.n << ", seed=" << entry.c.mutation.seed
-            << ", threads=" << entry.c.threads << ")\n";
+            << ")\n";
   if (outcome.verdict.ok()) {
     std::cout << "  oracle: all invariants hold ("
               << outcome.stats.rounds << " rounds, "
@@ -345,7 +342,6 @@ int main(int argc, char** argv) {
   std::string replay_path;
   std::string wire_replay_path;
   bool expect_violation = false;
-  bool has_threads = false;
   bool sharded = false;
   bool wire_faults = false;
 
@@ -365,9 +361,6 @@ int main(int argc, char** argv) {
         }
       } else if (arg == "--seed") {
         options.seed = std::stoull(arg_value(argc, argv, i, arg));
-      } else if (arg == "--threads") {
-        options.threads = std::stoi(arg_value(argc, argv, i, arg));
-        has_threads = true;
       } else if (arg == "--faults") {
         options.faults = true;
       } else if (arg == "--no-shrink") {
@@ -411,8 +404,7 @@ int main(int argc, char** argv) {
     }
 
     if (!replay_path.empty()) {
-      const int status =
-          replay(replay_path, options.threads, has_threads, sharded);
+      const int status = replay(replay_path, sharded);
       if (status == 2) return 2;
       return expect_violation ? (status == 1 ? 0 : 1) : status;
     }
@@ -461,7 +453,6 @@ int main(int argc, char** argv) {
         meta.t = entry.c.t;
         meta.ell_bits = entry.c.ell;
         meta.seed = entry.c.input_seed;
-        meta.threads = entry.c.threads;
         meta.notes = "fuzz counterexample, mutation seed " +
                      std::to_string(entry.c.mutation.seed);
         const std::string trace_path =

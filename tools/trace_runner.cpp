@@ -13,7 +13,7 @@
 // `--table` prints the plain-text round table; "-" means stdout. With no
 // output option, --table is implied. `--no-timing` switches the tracer to
 // canonical mode: all nanosecond fields are zero/omitted and the metrics
-// JSON is byte-identical across execution schedules.
+// JSON is byte-identical across repeated runs.
 //
 // Exit status: 0 = run ok (invariants held), 1 = an oracle violation or a
 // run failure, 2 = usage error.
@@ -48,7 +48,6 @@ using namespace coca;
          "  --n N              party count (default 13)\n"
          "  --ell BITS         input bit-length scale (default 4096)\n"
          "  --seed S           honest workload seed (default 42)\n"
-         "  --threads K        ExecPolicy (0 = auto/serial, default 0)\n"
          "  --corrupted IDS    comma-separated byzantine ids (Mutator-wrapped)\n"
          "  --fault KIND       environment faults: crash-stop, crash-recovery,\n"
          "                     link-cut, partition, shuffle\n"
@@ -127,8 +126,6 @@ int main(int argc, char** argv) {
         c.ell = std::stoul(next());
       } else if (arg == "--seed") {
         c.input_seed = std::stoull(next());
-      } else if (arg == "--threads") {
-        c.threads = std::stoi(next());
       } else if (arg == "--corrupted") {
         c.corrupted = parse_ids(next());
       } else if (arg == "--fault") {
@@ -210,7 +207,6 @@ int main(int argc, char** argv) {
   meta.t = c.t;
   meta.ell_bits = c.ell;
   meta.seed = c.input_seed;
-  meta.threads = c.threads;
   if (!fault_kind.empty()) {
     meta.notes = "fault=" + fault_kind + " f=" +
                  std::to_string(c.faults.charged(c.n).size());

@@ -92,7 +92,6 @@ adv::FuzzCase draw_case(const std::vector<std::string>& protocols,
   c.t = (c.n - 1) / 3;
   c.ell = 16u << ((stream >> 16) % 4);  // 16..128 bits
   c.input_seed = stream;
-  c.threads = 1;
   return c;
 }
 
