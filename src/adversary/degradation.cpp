@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/json.h"
+
 namespace coca::adv {
 
 const std::vector<FaultKind>& all_fault_kinds() {
@@ -124,18 +126,6 @@ DegradationRow run_cell(const DegradationConfig& cfg, int t,
   return row;
 }
 
-void json_escape(std::ostream& os, std::string_view s) {
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      os << '\\' << ch;
-    } else if (ch == '\n') {
-      os << "\\n";
-    } else {
-      os << ch;
-    }
-  }
-}
-
 }  // namespace
 
 DegradationReport run_degradation_campaign(const DegradationConfig& cfg) {
@@ -232,16 +222,13 @@ std::string degradation_json(const DegradationReport& report) {
     os << "}, \"outcome_phases\": {";
     first = true;
     for (const auto& [name, count] : row.outcome_phases) {
-      os << (first ? "" : ", ") << "\"";
-      json_escape(os, name);
-      os << "\": " << count;
+      os << (first ? "" : ", ") << "\"" << json::escape(name)
+         << "\": " << count;
       first = false;
     }
     os << "}, \"violations\": [";
     for (std::size_t v = 0; v < row.violations.size(); ++v) {
-      os << (v ? ", " : "") << "\"";
-      json_escape(os, row.violations[v]);
-      os << "\"";
+      os << (v ? ", " : "") << "\"" << json::escape(row.violations[v]) << "\"";
     }
     os << "]}" << (i + 1 < report.rows.size() ? "," : "") << "\n";
   }

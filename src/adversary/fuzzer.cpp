@@ -15,6 +15,7 @@
 #include "ca/high_cost_ca.h"
 #include "ca/pi_n.h"
 #include "util/bitstring.h"
+#include "util/json.h"
 
 namespace coca::adv {
 
@@ -103,8 +104,7 @@ Budget budget_for(const FuzzCase& c) {
 }
 
 std::string classify_failure(const std::string& what) {
-  if (what.find("max round count exceeded") != std::string::npos ||
-      what.find("round stalled") != std::string::npos) {
+  if (what.find("max round count exceeded") != std::string::npos) {
     return "termination: " + what;
   }
   return "crash: " + what;
@@ -525,166 +525,6 @@ FuzzOutcome run_long_ba_plus(const FuzzCase& c, const ExecHooks& hooks) {
   return run_ba_plus_like(c, hooks, proto, ba_inputs(c, c.ell / 8 + 1));
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON for the corpus. Hand-rolled on purpose: the container ships
-// no JSON library, and the corpus schema is a fixed, flat shape.
-
-void json_escape(std::ostream& os, std::string_view s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(ch >> 4) & 0xF] << hex[ch & 0xF];
-        } else {
-          os << ch;
-        }
-    }
-  }
-}
-
-/// Strict cursor over the corpus JSON subset: objects, arrays, strings,
-/// unsigned integers. Throws Error with position info on any deviation.
-class JsonCursor {
- public:
-  explicit JsonCursor(std::string_view s) : s_(s) {}
-
-  void ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\n' ||
-                                s_[pos_] == '\t' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    ws();
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool at_end() {
-    ws();
-    return pos_ >= s_.size();
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char ch = s_[pos_++];
-      if (ch == '"') return out;
-      if (ch != '\\') {
-        out.push_back(ch);
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      const char esc = s_[pos_++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          out.push_back(esc);
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          unsigned v = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            v <<= 4;
-            if (h >= '0' && h <= '9') {
-              v |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              v |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              v |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
-          }
-          if (v > 0xFF) fail("non-latin \\u escape unsupported");
-          out.push_back(static_cast<char>(v));
-          break;
-        }
-        default:
-          fail("unsupported escape");
-      }
-    }
-  }
-
-  std::uint64_t u64() {
-    ws();
-    if (pos_ >= s_.size() || s_[pos_] < '0' || s_[pos_] > '9') {
-      fail("expected unsigned integer");
-    }
-    std::uint64_t v = 0;
-    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') {
-      const auto digit = static_cast<std::uint64_t>(s_[pos_] - '0');
-      if (v > (~std::uint64_t{0} - digit) / 10) fail("integer overflow");
-      v = v * 10 + digit;
-      ++pos_;
-    }
-    return v;
-  }
-
-  /// Signed integer (the v2 fault schema needs it: shuffle party -1).
-  std::int64_t i64() {
-    ws();
-    const bool neg = pos_ < s_.size() && s_[pos_] == '-';
-    if (neg) ++pos_;
-    const std::uint64_t v = u64();
-    if (v > 0x7FFFFFFFFFFFFFFFULL) fail("integer overflow");
-    return neg ? -static_cast<std::int64_t>(v) : static_cast<std::int64_t>(v);
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) {
-    throw Error("corpus JSON: " + std::string(what) + " at offset " +
-                std::to_string(pos_));
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -725,9 +565,7 @@ std::string to_json(const CorpusEntry& entry) {
   os << "  \"schema\": \""
      << (entry.c.faults.empty() ? "coca-fuzz-v1" : "coca-fuzz-v2")
      << "\",\n";
-  os << "  \"protocol\": \"";
-  json_escape(os, entry.c.protocol);
-  os << "\",\n";
+  os << "  \"protocol\": \"" << json::escape(entry.c.protocol) << "\",\n";
   os << "  \"n\": " << entry.c.n << ",\n";
   os << "  \"t\": " << entry.c.t << ",\n";
   os << "  \"ell\": " << entry.c.ell << ",\n";
@@ -782,183 +620,148 @@ std::string to_json(const CorpusEntry& entry) {
   }
   os << "  \"violations\": [";
   for (std::size_t i = 0; i < entry.violations.size(); ++i) {
-    os << (i ? ", " : "") << "\"";
-    json_escape(os, entry.violations[i]);
-    os << "\"";
+    os << (i ? ", " : "") << "\"" << json::escape(entry.violations[i]) << "\"";
   }
   os << "],\n";
-  os << "  \"note\": \"";
-  json_escape(os, entry.note);
-  os << "\"\n}\n";
+  os << "  \"note\": \"" << json::escape(entry.note) << "\"\n}\n";
   return os.str();
 }
 
-CorpusEntry corpus_entry_from_json(std::string_view json) {
-  JsonCursor cur(json);
-  CorpusEntry entry;
-  bool saw_schema = false;
-  cur.expect('{');
-  if (!cur.consume('}')) {
-    do {
-      const std::string key = cur.string();
-      cur.expect(':');
-      if (key == "schema") {
-        const std::string schema = cur.string();
-        require(schema == "coca-fuzz-v1" || schema == "coca-fuzz-v2",
-                "corpus JSON: unsupported schema");
-        saw_schema = true;
-      } else if (key == "protocol") {
-        entry.c.protocol = cur.string();
-      } else if (key == "n") {
-        entry.c.n = narrow<int>(cur.u64());
-      } else if (key == "t") {
-        entry.c.t = narrow<int>(cur.u64());
-      } else if (key == "ell") {
-        entry.c.ell = cur.u64();
-      } else if (key == "input_seed") {
-        entry.c.input_seed = cur.u64();
-      } else if (key == "threads") {
-        entry.c.threads = narrow<int>(cur.u64());
-      } else if (key == "corrupted") {
-        cur.expect('[');
-        entry.c.corrupted.clear();
-        if (!cur.consume(']')) {
-          do {
-            entry.c.corrupted.push_back(narrow<int>(cur.u64()));
-          } while (cur.consume(','));
-          cur.expect(']');
-        }
-      } else if (key == "mutation") {
-        cur.expect('{');
-        do {
-          const std::string mkey = cur.string();
-          cur.expect(':');
-          if (mkey == "seed") {
-            entry.c.mutation.seed = cur.u64();
-          } else if (mkey == "max_delay") {
-            entry.c.mutation.max_delay = cur.u64();
-          } else if (mkey == "weights") {
-            cur.expect('[');
-            for (std::size_t i = 0; i < kNumMutOps; ++i) {
-              if (i > 0) cur.expect(',');
-              entry.c.mutation.weights[i] = narrow<std::uint32_t>(cur.u64());
-            }
-            cur.expect(']');
+namespace {
+
+void read_mutation(json::Reader& r, MutatorConfig& m) {
+  r.members([&](const std::string& key) {
+    if (key == "seed") {
+      m.seed = r.int_in<std::uint64_t>();
+    } else if (key == "max_delay") {
+      m.max_delay = r.int_in<std::size_t>();
+    } else if (key == "weights") {
+      std::size_t i = 0;
+      r.elements([&] {
+        if (i == kNumMutOps) r.fail("too many mutation weights");
+        m.weights[i++] = r.int_in<std::uint32_t>();
+      });
+      if (i != kNumMutOps) r.fail("too few mutation weights");
+    } else {
+      r.fail("unknown mutation key '" + key + "'");
+    }
+  });
+}
+
+/// Each fault kind is an array of flat objects.
+void read_faults(json::Reader& r, net::FaultPlan& f) {
+  const auto window = [&r](const std::string& key, auto& entry) {
+    if (key == "from_round") {
+      entry.from_round = r.int_in<std::size_t>();
+    } else if (key == "until_round") {
+      entry.until_round = r.int_in<std::size_t>();
+    } else {
+      r.fail("unknown fault key '" + key + "'");
+    }
+  };
+  r.members([&](const std::string& kind) {
+    if (kind == "crashes") {
+      r.elements([&] {
+        net::FaultPlan::Crash& cr = f.crashes.emplace_back();
+        r.members([&](const std::string& key) {
+          if (key == "party") {
+            cr.party = r.int_in<int>(0);
           } else {
-            throw Error("corpus JSON: unknown mutation key '" + mkey + "'");
+            window(key, cr);
           }
-        } while (cur.consume(','));
-        cur.expect('}');
-      } else if (key == "faults") {
-        net::FaultPlan& f = entry.c.faults;
-        // Each fault kind is an array of flat objects; every field of the
-        // struct must be spelled out (strict, like the rest of the schema).
-        const auto fields = [&cur](const auto& field) {
-          cur.expect('{');
-          do {
-            const std::string fk = cur.string();
-            cur.expect(':');
-            field(fk);
-          } while (cur.consume(','));
-          cur.expect('}');
-        };
-        cur.expect('{');
-        do {
-          const std::string fkey = cur.string();
-          cur.expect(':');
-          cur.expect('[');
-          if (cur.consume(']')) continue;
-          do {
-            if (fkey == "crashes") {
-              net::FaultPlan::Crash cr;
-              fields([&](const std::string& k) {
-                if (k == "party") {
-                  cr.party = narrow<int>(cur.u64());
-                } else if (k == "from_round") {
-                  cr.from_round = cur.u64();
-                } else if (k == "until_round") {
-                  cr.until_round = cur.u64();
-                } else {
-                  throw Error("corpus JSON: unknown crash key '" + k + "'");
-                }
-              });
-              f.crashes.push_back(cr);
-            } else if (fkey == "cuts") {
-              net::FaultPlan::LinkCut cut;
-              fields([&](const std::string& k) {
-                if (k == "from") {
-                  cut.from = narrow<int>(cur.u64());
-                } else if (k == "to") {
-                  cut.to = narrow<int>(cur.u64());
-                } else if (k == "from_round") {
-                  cut.from_round = cur.u64();
-                } else if (k == "until_round") {
-                  cut.until_round = cur.u64();
-                } else {
-                  throw Error("corpus JSON: unknown cut key '" + k + "'");
-                }
-              });
-              f.cuts.push_back(cut);
-            } else if (fkey == "partitions") {
-              net::FaultPlan::Partition part;
-              fields([&](const std::string& k) {
-                if (k == "side") {
-                  cur.expect('[');
-                  if (!cur.consume(']')) {
-                    do {
-                      part.side.push_back(narrow<int>(cur.u64()));
-                    } while (cur.consume(','));
-                    cur.expect(']');
-                  }
-                } else if (k == "from_round") {
-                  part.from_round = cur.u64();
-                } else if (k == "until_round") {
-                  part.until_round = cur.u64();
-                } else {
-                  throw Error("corpus JSON: unknown partition key '" + k +
-                              "'");
-                }
-              });
-              f.partitions.push_back(std::move(part));
-            } else if (fkey == "shuffles") {
-              net::FaultPlan::Shuffle sh;
-              fields([&](const std::string& k) {
-                if (k == "party") {
-                  sh.party = narrow<int>(cur.i64());
-                } else if (k == "seed") {
-                  sh.seed = cur.u64();
-                } else {
-                  throw Error("corpus JSON: unknown shuffle key '" + k + "'");
-                }
-              });
-              f.shuffles.push_back(sh);
-            } else {
-              throw Error("corpus JSON: unknown faults key '" + fkey + "'");
-            }
-          } while (cur.consume(','));
-          cur.expect(']');
-        } while (cur.consume(','));
-        cur.expect('}');
-      } else if (key == "violations") {
-        cur.expect('[');
-        entry.violations.clear();
-        if (!cur.consume(']')) {
-          do {
-            entry.violations.push_back(cur.string());
-          } while (cur.consume(','));
-          cur.expect(']');
-        }
-      } else if (key == "note") {
-        entry.note = cur.string();
-      } else {
-        throw Error("corpus JSON: unknown key '" + key + "'");
+        });
+      });
+    } else if (kind == "cuts") {
+      r.elements([&] {
+        net::FaultPlan::LinkCut& cut = f.cuts.emplace_back();
+        r.members([&](const std::string& key) {
+          if (key == "from") {
+            cut.from = r.int_in<int>(0);
+          } else if (key == "to") {
+            cut.to = r.int_in<int>(0);
+          } else {
+            window(key, cut);
+          }
+        });
+      });
+    } else if (kind == "partitions") {
+      r.elements([&] {
+        net::FaultPlan::Partition& part = f.partitions.emplace_back();
+        r.members([&](const std::string& key) {
+          if (key == "side") {
+            r.elements([&] { part.side.push_back(r.int_in<int>(0)); });
+          } else {
+            window(key, part);
+          }
+        });
+      });
+    } else if (kind == "shuffles") {
+      r.elements([&] {
+        net::FaultPlan::Shuffle& sh = f.shuffles.emplace_back();
+        r.members([&](const std::string& key) {
+          if (key == "party") {
+            sh.party = r.int_in<int>();
+          } else if (key == "seed") {
+            sh.seed = r.int_in<std::uint64_t>();
+          } else {
+            r.fail("unknown shuffle key '" + key + "'");
+          }
+        });
+      });
+    } else {
+      r.fail("unknown faults key '" + kind + "'");
+    }
+  });
+}
+
+}  // namespace
+
+CorpusEntry read_corpus_entry(json::Reader& r) {
+  CorpusEntry entry;
+  FuzzCase& c = entry.c;
+  bool saw_schema = false;
+  r.members([&](const std::string& key) {
+    if (key == "schema") {
+      const std::string schema = r.string();
+      if (schema != "coca-fuzz-v1" && schema != "coca-fuzz-v2") {
+        r.fail("unsupported schema '" + schema + "'");
       }
-    } while (cur.consume(','));
-    cur.expect('}');
-  }
-  require(cur.at_end(), "corpus JSON: trailing content");
-  require(saw_schema, "corpus JSON: missing schema");
-  validate_case(entry.c);
+      saw_schema = true;
+    } else if (key == "protocol") {
+      c.protocol = r.string();
+    } else if (key == "n") {
+      c.n = r.int_in<int>(0);
+    } else if (key == "t") {
+      c.t = r.int_in<int>(0);
+    } else if (key == "ell") {
+      c.ell = r.int_in<std::size_t>();
+    } else if (key == "input_seed") {
+      c.input_seed = r.int_in<std::uint64_t>();
+    } else if (key == "threads") {
+      c.threads = r.int_in<int>(0);
+    } else if (key == "corrupted") {
+      r.elements([&] { c.corrupted.push_back(r.int_in<int>(0)); });
+    } else if (key == "mutation") {
+      read_mutation(r, c.mutation);
+    } else if (key == "faults") {
+      read_faults(r, c.faults);
+    } else if (key == "violations") {
+      r.elements([&] { entry.violations.push_back(r.string()); });
+    } else if (key == "note") {
+      entry.note = r.string();
+    } else {
+      r.fail("unknown key '" + key + "'");
+    }
+  });
+  if (!saw_schema) r.fail("missing schema");
+  validate_case(c);
+  return entry;
+}
+
+CorpusEntry corpus_entry_from_json(std::string_view text) {
+  json::Reader r(text, "corpus JSON");
+  CorpusEntry entry = read_corpus_entry(r);
+  if (!r.at_end()) r.fail("trailing bytes");
   return entry;
 }
 

@@ -41,6 +41,7 @@
 #include "adversary/mutator.h"
 #include "net/fault_plan.h"
 #include "net/sync_network.h"
+#include "util/json.h"
 
 namespace coca::adv {
 
@@ -133,9 +134,14 @@ struct CorpusEntry {
 /// JSON round trip for corpus files. Entries without faults serialize
 /// byte-identically to the original schema "coca-fuzz-v1"; entries with a
 /// FaultPlan use "coca-fuzz-v2" (adds a "faults" object). The reader
-/// accepts both (strict parse, throws Error on malformed input).
+/// accepts both through util/json's strict reader: exact schema, no
+/// unknown or repeated keys, ranged integers, no trailing bytes; it throws
+/// Error on malformed input. `read_corpus_entry` reads one entry object
+/// in place (the wire-chaos reproducer nests one); the string form also
+/// requires the text to end after it.
 std::string to_json(const CorpusEntry& entry);
-CorpusEntry corpus_entry_from_json(std::string_view json);
+CorpusEntry read_corpus_entry(json::Reader& r);
+CorpusEntry corpus_entry_from_json(std::string_view text);
 
 /// Greedily minimizes `c` while `still_fails` holds: fewer corrupted
 /// parties, fewer fault entries, smaller n, shorter ell, fewer active

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/json.h"
+
 namespace coca::obs {
 
 namespace {
@@ -35,7 +37,7 @@ void append_kv_map(std::string& out, const char* key, const Map& m,
     if (!first) out += ", ";
     first = false;
     out += '"';
-    out += json_escape(name);
+    out += json::escape(name);
     out += "\": ";
     append_u64(out, value * scale);
   }
@@ -43,40 +45,6 @@ void append_kv_map(std::string& out, const char* key, const Map& m,
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string chrome_trace_json(const Tracer& tracer) {
   std::string out;
@@ -90,7 +58,7 @@ std::string chrome_trace_json(const Tracer& tracer) {
     out += "{\"ph\": \"M\", \"pid\": 0, \"tid\": ";
     append_u64(out, static_cast<std::uint64_t>(track));
     out += ", \"name\": \"thread_name\", \"args\": {\"name\": \"";
-    out += json_escape(tracer.track_label(track));
+    out += json::escape(tracer.track_label(track));
     out += "\"}}";
     out += ",\n{\"ph\": \"M\", \"pid\": 0, \"tid\": ";
     append_u64(out, static_cast<std::uint64_t>(track));
@@ -107,9 +75,9 @@ std::string chrome_trace_json(const Tracer& tracer) {
       out += ", \"dur\": ";
       append_us(out, span.dur_ns);
       out += ", \"name\": \"";
-      out += json_escape(span.name);
+      out += json::escape(span.name);
       out += "\", \"cat\": \"";
-      out += json_escape(span.cat);
+      out += json::escape(span.cat);
       out += "\", \"args\": {\"round\": ";
       append_u64(out, span.round);
       out += ", \"bytes\": ";
@@ -128,7 +96,7 @@ std::string metrics_json(const Tracer& tracer, const RunMeta& meta,
   std::string out;
   out += "{\n  \"schema\": \"coca-metrics-v1\",\n";
   out += "  \"meta\": {\"protocol\": \"";
-  out += json_escape(meta.protocol);
+  out += json::escape(meta.protocol);
   out += "\", \"n\": ";
   append_u64(out, static_cast<std::uint64_t>(meta.n));
   out += ", \"t\": ";
@@ -143,7 +111,7 @@ std::string metrics_json(const Tracer& tracer, const RunMeta& meta,
   out += include_timing ? "true" : "false";
   if (!meta.notes.empty()) {
     out += ", \"notes\": \"";
-    out += json_escape(meta.notes);
+    out += json::escape(meta.notes);
     out += '"';
   }
   out += "},\n";
@@ -176,7 +144,7 @@ std::string metrics_json(const Tracer& tracer, const RunMeta& meta,
       if (!first) out += ", ";
       first = false;
       out += '"';
-      out += json_escape(name);
+      out += json::escape(name);
       out += "\": {\"count\": ";
       append_u64(out, hist.count);
       out += ", \"sum\": ";
@@ -212,9 +180,9 @@ std::string metrics_json(const Tracer& tracer, const RunMeta& meta,
       if (!first) out += ',';
       first = false;
       out += "\n    {\"label\": \"";
-      out += json_escape(tracer.track_label(track));
+      out += json::escape(tracer.track_label(track));
       out += "\", \"kind\": \"";
-      out += json_escape(tracer.track_kind(track));
+      out += json::escape(tracer.track_kind(track));
       out += "\", \"honest\": ";
       out += tracer.track_honest(track) ? "true" : "false";
       out += ", \"spans\": ";

@@ -54,7 +54,4 @@ std::string metrics_json(const Tracer& tracer, const RunMeta& meta,
 /// the engine track's round spans, followed by a per-phase summary.
 std::string round_table(const Tracer& tracer, const StatsView& stats);
 
-/// Escapes a string for embedding in a JSON string literal.
-std::string json_escape(const std::string& s);
-
 }  // namespace coca::obs

@@ -10,6 +10,7 @@
 
 #include "svc/client.h"
 #include "svc/server.h"
+#include "util/json.h"
 
 namespace coca::svc {
 
@@ -198,69 +199,6 @@ ChaosReport run_case_under_wire_faults(const adv::FuzzCase& c,
 // ---------------------------------------------------------------------------
 // Reproducer files (schema coca-wirechaos-v1).
 
-namespace {
-
-/// Returns the span of the balanced {...} value of top-level `key`, or an
-/// empty view. String-aware: braces inside JSON strings do not count.
-std::string_view top_level_object(std::string_view s, std::string_view key) {
-  int depth = 0;
-  bool in_string = false;
-  std::string current;  // last string token completed at depth 1
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char ch = s[i];
-    if (in_string) {
-      if (ch == '\\') {
-        ++i;
-      } else if (ch == '"') {
-        in_string = false;
-      } else {
-        current.push_back(ch);
-      }
-      continue;
-    }
-    switch (ch) {
-      case '"':
-        in_string = true;
-        if (depth == 1) current.clear();
-        break;
-      case '{':
-      case '[':
-        if (depth == 1 && ch == '{' && current == key) {
-          // Capture the balanced object starting here.
-          int d = 0;
-          bool str = false;
-          for (std::size_t j = i; j < s.size(); ++j) {
-            const char cj = s[j];
-            if (str) {
-              if (cj == '\\') {
-                ++j;
-              } else if (cj == '"') {
-                str = false;
-              }
-              continue;
-            }
-            if (cj == '"') str = true;
-            if (cj == '{') ++d;
-            if (cj == '}' && --d == 0) return s.substr(i, j - i + 1);
-          }
-          throw Error("wire-chaos JSON: unbalanced object for '" +
-                      std::string(key) + "'");
-        }
-        ++depth;
-        break;
-      case '}':
-      case ']':
-        --depth;
-        break;
-      default:
-        break;
-    }
-  }
-  return {};
-}
-
-}  // namespace
-
 std::string wire_chaos_to_json(const adv::CorpusEntry& entry,
                                const WireFaultPlan& plan) {
   const auto trim = [](std::string s) {
@@ -274,19 +212,33 @@ std::string wire_chaos_to_json(const adv::CorpusEntry& entry,
   return os.str();
 }
 
-WireChaosCase wire_chaos_from_json(std::string_view json) {
-  if (json.find("\"coca-wirechaos-v1\"") == std::string_view::npos) {
-    throw Error("wire-chaos JSON: missing schema coca-wirechaos-v1");
-  }
-  const std::string_view entry = top_level_object(json, "entry");
-  if (entry.empty()) throw Error("wire-chaos JSON: missing 'entry' object");
-  const std::string_view plan = top_level_object(json, "wire_faults");
-  if (plan.empty()) {
-    throw Error("wire-chaos JSON: missing 'wire_faults' object");
-  }
+WireChaosCase wire_chaos_from_json(std::string_view text) {
+  json::Reader r(text, "wire-chaos JSON");
   WireChaosCase out;
-  out.entry = adv::corpus_entry_from_json(entry);
-  out.plan = wire_fault_plan_from_json(plan);
+  bool saw_schema = false;
+  bool saw_entry = false;
+  bool saw_plan = false;
+  r.members([&](const std::string& key) {
+    if (key == "schema") {
+      const std::string schema = r.string();
+      if (schema != "coca-wirechaos-v1") {
+        r.fail("unknown schema '" + schema + "'");
+      }
+      saw_schema = true;
+    } else if (key == "entry") {
+      out.entry = adv::read_corpus_entry(r);
+      saw_entry = true;
+    } else if (key == "wire_faults") {
+      out.plan = read_wire_fault_plan(r);
+      saw_plan = true;
+    } else {
+      r.fail("unknown key '" + key + "'");
+    }
+  });
+  if (!r.at_end()) r.fail("trailing bytes");
+  if (!saw_schema) r.fail("missing schema");
+  if (!saw_entry) r.fail("missing 'entry' object");
+  if (!saw_plan) r.fail("missing 'wire_faults' object");
   return out;
 }
 

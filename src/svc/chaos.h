@@ -97,7 +97,9 @@ ChaosReport run_case_under_wire_faults(const adv::FuzzCase& c,
 
 /// Reproducer files for `fuzz_driver --wire-faults`, schema
 /// "coca-wirechaos-v1": a corpus entry plus the wire-fault plan that broke
-/// it, each in its own existing schema.
+/// it, each in its own existing schema. The reader parses the envelope as
+/// one strict object (util/json): exact schema, `entry` and `wire_faults`
+/// read in place, unknown or repeated keys and trailing bytes rejected.
 std::string wire_chaos_to_json(const adv::CorpusEntry& entry,
                                const WireFaultPlan& plan);
 struct WireChaosCase {

@@ -430,17 +430,7 @@ void Daemon::handle_commit(Conn& c, Session& s, Frame f) {
   }
   flush(c);
   if (conns_.find(cfd) == conns_.end()) return;  // flush may close
-  if (take(WireFaultPlan::Kind::kKillAfterFlush) >= 0) {
-    close_conn(cfd);
-    return;
-  }
-  if (options_.drop_connection_after_rounds > 0 &&
-      s.rounds_committed >= static_cast<std::uint64_t>(
-                                options_.drop_connection_after_rounds)) {
-    // Injected fault: the daemon "dies" for this connection mid
-    // conversation -- no goodbye frames, just a closed socket.
-    close_conn(c.fd.get());
-  }
+  if (take(WireFaultPlan::Kind::kKillAfterFlush) >= 0) close_conn(cfd);
 }
 
 void Daemon::handle_resume(Conn& c, Frame f) {

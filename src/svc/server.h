@@ -62,12 +62,6 @@ struct DaemonOptions {
   std::uint16_t tcp_port = 0;
   /// A session with no frame activity for this long is killed with kError.
   int idle_timeout_ms = 30'000;
-  /// Deterministic fault injection for tests: hard-close a connection
-  /// (RST-style, no goodbye frames) as soon as any of its sessions commits
-  /// this many rounds. 0 = disabled. Predates WireFaultPlan; kept because
-  /// it re-fires on every reconnect (a permanently bad daemon), which a
-  /// one-shot plan entry deliberately does not.
-  int drop_connection_after_rounds = 0;
   /// SO_RCVBUF/SO_SNDBUF request for accepted connections (0 = kernel
   /// default). A whole round of kDeliver frames is flushed in one gather
   /// batch, so the send buffer should hold a full round to keep the flush

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace coca::svc {
@@ -158,92 +159,7 @@ WireFaultPlan sample_wire_fault_plan(const WireFaultSampleConfig& cfg) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON (schema coca-wirefault-v1). Same hand-rolled strict subset as the
-// fuzz corpus; no library dependency.
-
-namespace {
-
-/// Strict cursor over the wire-fault JSON subset (objects, arrays, strings,
-/// signed integers). Mirrors the corpus parser in adversary/fuzzer.cpp.
-class Cursor {
- public:
-  explicit Cursor(std::string_view s) : s_(s) {}
-
-  void ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\n' ||
-                                s_[pos_] == '\t' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    ws();
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool at_end() {
-    ws();
-    return pos_ >= s_.size();
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char ch = s_[pos_++];
-      if (ch == '"') return out;
-      if (ch == '\\') {
-        if (pos_ >= s_.size()) fail("unterminated escape");
-        out.push_back(s_[pos_++]);
-        continue;
-      }
-      out.push_back(ch);
-    }
-  }
-
-  std::int64_t i64() {
-    ws();
-    const bool neg = pos_ < s_.size() && s_[pos_] == '-';
-    if (neg) ++pos_;
-    if (pos_ >= s_.size() || s_[pos_] < '0' || s_[pos_] > '9') {
-      fail("expected integer");
-    }
-    std::int64_t v = 0;
-    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') {
-      if (v > (0x7FFFFFFFFFFFFFFFLL - 9) / 10) fail("integer overflow");
-      v = v * 10 + (s_[pos_] - '0');
-      ++pos_;
-    }
-    return neg ? -v : v;
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) {
-    throw Error("wire-fault JSON: " + std::string(what) + " at offset " +
-                std::to_string(pos_));
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
+// JSON (schema coca-wirefault-v1).
 
 std::string to_json(const WireFaultPlan& plan) {
   std::ostringstream os;
@@ -260,72 +176,54 @@ std::string to_json(const WireFaultPlan& plan) {
   return os.str();
 }
 
-WireFaultPlan wire_fault_plan_from_json(std::string_view json) {
-  Cursor c(json);
+WireFaultPlan read_wire_fault_plan(json::Reader& r) {
   WireFaultPlan plan;
   bool saw_schema = false;
-  c.expect('{');
-  if (!c.consume('}')) {
-    do {
-      const std::string key = c.string();
-      c.expect(':');
-      if (key == "schema") {
-        const std::string schema = c.string();
-        if (schema != "coca-wirefault-v1") {
-          throw Error("wire-fault JSON: unknown schema '" + schema + "'");
-        }
-        saw_schema = true;
-      } else if (key == "entries") {
-        c.expect('[');
-        if (!c.consume(']')) {
-          do {
-            WireFaultPlan::Entry e;
-            bool have_kind = false;
-            c.expect('{');
-            if (!c.consume('}')) {
-              do {
-                const std::string field = c.string();
-                c.expect(':');
-                if (field == "kind") {
-                  const std::string kind = c.string();
-                  const auto k = wire_fault_kind_from_string(kind);
-                  if (!k) {
-                    throw Error("wire-fault JSON: unknown kind '" + kind +
-                                "'");
-                  }
-                  e.kind = *k;
-                  have_kind = true;
-                } else if (field == "session") {
-                  e.session = static_cast<std::int32_t>(c.i64());
-                } else if (field == "round") {
-                  e.round = static_cast<std::uint32_t>(c.i64());
-                } else if (field == "delay_ms") {
-                  e.delay_ms = static_cast<std::uint32_t>(c.i64());
-                } else if (field == "truncate_bytes") {
-                  e.truncate_bytes = static_cast<std::uint32_t>(c.i64());
-                } else {
-                  throw Error("wire-fault JSON: unknown entry field '" +
-                              field + "'");
-                }
-              } while (c.consume(','));
-              c.expect('}');
-            }
-            if (!have_kind) {
-              throw Error("wire-fault JSON: entry without a kind");
-            }
-            plan.entries.push_back(e);
-          } while (c.consume(','));
-          c.expect(']');
-        }
-      } else {
-        throw Error("wire-fault JSON: unknown field '" + key + "'");
+  r.members([&](const std::string& key) {
+    if (key == "schema") {
+      const std::string schema = r.string();
+      if (schema != "coca-wirefault-v1") {
+        r.fail("unknown schema '" + schema + "'");
       }
-    } while (c.consume(','));
-    c.expect('}');
-  }
-  if (!saw_schema) throw Error("wire-fault JSON: missing schema");
-  if (!c.at_end()) throw Error("wire-fault JSON: trailing bytes");
+      saw_schema = true;
+    } else if (key == "entries") {
+      r.elements([&] {
+        WireFaultPlan::Entry& e = plan.entries.emplace_back();
+        bool have_kind = false;
+        r.members([&](const std::string& field) {
+          if (field == "kind") {
+            const std::string kind = r.string();
+            const auto k = wire_fault_kind_from_string(kind);
+            if (!k) r.fail("unknown kind '" + kind + "'");
+            e.kind = *k;
+            have_kind = true;
+          } else if (field == "session") {
+            e.session = r.int_in<std::int32_t>(-1);
+          } else if (field == "round") {
+            e.round = r.int_in<std::uint32_t>();
+          } else if (field == "delay_ms") {
+            e.delay_ms = r.int_in<std::uint32_t>();
+          } else if (field == "truncate_bytes") {
+            e.truncate_bytes = r.int_in<std::uint32_t>();
+          } else {
+            r.fail("unknown entry field '" + field + "'");
+          }
+        });
+        if (!have_kind) r.fail("entry without a kind");
+      });
+    } else {
+      r.fail("unknown field '" + key + "'");
+    }
+  });
+  if (!saw_schema) r.fail("missing schema");
   plan.validate();
+  return plan;
+}
+
+WireFaultPlan wire_fault_plan_from_json(std::string_view text) {
+  json::Reader r(text, "wire-fault JSON");
+  WireFaultPlan plan = read_wire_fault_plan(r);
+  if (!r.at_end()) r.fail("trailing bytes");
   return plan;
 }
 

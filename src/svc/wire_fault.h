@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "util/common.h"
+#include "util/json.h"
 
 namespace coca::svc {
 
@@ -141,9 +142,13 @@ struct WireFaultSampleConfig {
 
 WireFaultPlan sample_wire_fault_plan(const WireFaultSampleConfig& cfg);
 
-/// JSON round trip, schema "coca-wirefault-v1" (same hand-rolled strict
-/// subset as the fuzz corpus: objects, arrays, strings, integers).
+/// JSON round trip, schema "coca-wirefault-v1", read through util/json's
+/// strict reader like the fuzz corpus: exact schema, no unknown or repeated
+/// keys, every integer range-checked against its field, then validate().
+/// `read_wire_fault_plan` reads one plan object in place (the wire-chaos
+/// reproducer nests one); the string form also requires the text to end.
 std::string to_json(const WireFaultPlan& plan);
-WireFaultPlan wire_fault_plan_from_json(std::string_view json);
+WireFaultPlan read_wire_fault_plan(json::Reader& r);
+WireFaultPlan wire_fault_plan_from_json(std::string_view text);
 
 }  // namespace coca::svc

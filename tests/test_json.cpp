@@ -1,0 +1,52 @@
+// util/json: the one escaper and strict reader behind every case file.
+#include <cstdint>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "util/json.h"
+
+namespace coca::json {
+namespace {
+
+std::string read_string(const std::string& text) {
+  Reader r(text, "test JSON");
+  std::string s = r.string();
+  EXPECT_TRUE(r.at_end());
+  return s;
+}
+
+TEST(Json, EscapeRoundTripsEveryByte) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) all.push_back(static_cast<char>(b));
+  const std::string escaped = escape(all);
+  for (const char c : escaped) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+  EXPECT_EQ(read_string("\"" + escaped + "\""), all);
+  EXPECT_EQ(escape("a\tb\x01\"\\"), "a\\tb\\u0001\\\"\\\\");
+  EXPECT_EQ(read_string(R"("\b\f\/\u00e9")"), "\b\f/\xe9");
+  EXPECT_THROW(read_string("\"raw\ttab\""), Error);
+  EXPECT_THROW(read_string(R"("\u0100")"), Error);
+}
+
+TEST(Json, ReaderRejectsRepeatedKeysAndOutOfRangeIntegers) {
+  const auto read_object = [](const std::string& text) {
+    Reader r(text, "test JSON");
+    r.members([&](const std::string&) { (void)r.int_in<int>(-1, 5); });
+  };
+  EXPECT_NO_THROW(read_object(R"({"a": -1, "b": 5})"));
+  EXPECT_THROW(read_object(R"({"a": 1, "a": 1})"), Error);
+  EXPECT_THROW(read_object(R"({"a": 6})"), Error);
+  EXPECT_THROW(read_object(R"({"a": -2})"), Error);
+  EXPECT_THROW(read_object(R"({"a": 99999999999999999999})"), Error);
+  try {
+    read_object(R"({"a": 1,})");
+    ADD_FAILURE() << "trailing comma accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "test JSON: expected '\"' at offset 8");
+  }
+  Reader r("[255, 256]", "test JSON");
+  EXPECT_THROW(r.elements([&] { (void)r.int_in<std::uint8_t>(); }), Error);
+}
+
+}  // namespace
+}  // namespace coca::json

@@ -24,7 +24,6 @@
 #include "net/buffer_pool.h"
 #include "svc/client.h"
 #include "svc/server.h"
-#include "svc/wire_network.h"
 
 namespace coca {
 namespace {
@@ -189,33 +188,6 @@ TEST_F(WireConformance, RoundTripIsZeroCopyAndAllocationFree) {
   EXPECT_EQ(steady, 0u) << "steady-state sessions must reuse pooled slabs";
   daemon.stop();
   ::unlink(path.c_str());
-}
-
-TEST_F(WireConformance, WireNetworkFacadeRunsProtocol) {
-  // The WireNetwork convenience wrapper: same SyncNetwork surface, wired
-  // transport underneath. Smoke a direct protocol run through it.
-  svc::WireNetwork wnet(4, 1, *client_);
-  net::SyncNetwork plain(4, 1);
-  auto program = [](net::PartyContext& ctx) {
-    for (int r = 0; r < 3; ++r) {
-      ctx.send_all(Bytes{static_cast<std::uint8_t>(ctx.id()),
-                         static_cast<std::uint8_t>(r)});
-      ctx.advance();
-    }
-  };
-  for (int id = 0; id < 4; ++id) {
-    wnet.set_honest(id, program);
-    plain.set_honest(id, program);
-  }
-  net::Transcript wire_tr;
-  net::Transcript plain_tr;
-  wnet.set_transcript(&wire_tr);
-  plain.set_transcript(&plain_tr);
-  const net::RunStats a = plain.run();
-  const net::RunStats b = wnet.run();
-  EXPECT_EQ(a.honest_bytes, b.honest_bytes);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_TRUE(plain_tr == wire_tr);
 }
 
 TEST_F(WireConformance, TransportFailureYieldsStructuredReport) {

@@ -137,6 +137,31 @@ TEST(WireFault, JsonRejectsMalformedInput) {
           R"({"schema": "coca-wirefault-v1",
               "entries": [{"kind": "stall_read", "round": 0}]})"),
       Error);
+  // Integers are range-checked against their fields, never wrapped: 2^32-1
+  // is not session -1 ("any"), -1 is not round 2^32-1, and a 2^32 delay does
+  // not truncate to 0 and slip past the non-stall check.
+  const auto kill_entry = [](const char* field) {
+    return wire_fault_plan_from_json(
+        std::string(R"({"schema": "coca-wirefault-v1",
+            "entries": [{"kind": "kill_after_flush", )") +
+        field + "}]}");
+  };
+  EXPECT_EQ(kill_entry(R"("round": 4294967295)").entries.at(0).round,
+            4294967295u);  // in range: the control case
+  EXPECT_THROW(kill_entry(R"("session": 4294967295)"), Error);
+  EXPECT_THROW(kill_entry(R"("round": -1)"), Error);
+  EXPECT_THROW(kill_entry(R"("delay_ms": 4294967296)"), Error);
+  // Escapes decode per JSON: the unknown kind is quoted back with its \n
+  // decoded to a newline, not to the letter n.
+  try {
+    (void)wire_fault_plan_from_json(
+        R"({"schema": "coca-wirefault-v1",
+            "entries": [{"kind": "kill\nx", "round": 0}]})");
+    ADD_FAILURE() << "unknown kind accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'kill\nx'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(WireFault, FuseFiresEachEntryExactlyOnce) {

@@ -664,6 +664,29 @@ TEST(WireChaosJson, ReproducerRoundTrips) {
 
   EXPECT_THROW(svc::wire_chaos_from_json("{}"), Error);
   EXPECT_THROW(svc::wire_chaos_from_json("not json"), Error);
+
+  // The envelope is one strict object: the schema value itself must match,
+  // and unknown keys, a second `entry` and trailing bytes are errors.
+  const auto with = [&json](const std::string& from, const std::string& to) {
+    std::string s = json;
+    const std::size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? s : s.replace(at, from.size(), to);
+  };
+  const std::string schema = R"("schema": "coca-wirechaos-v1")";
+  EXPECT_THROW(svc::wire_chaos_from_json(with(
+                   schema,
+                   R"("schema": "coca-wirechaos-v9", "coca-wirechaos-v1": 1)")),
+               Error);
+  EXPECT_THROW(
+      svc::wire_chaos_from_json(with(schema, schema + R"(, "extra": {})")),
+      Error);
+  EXPECT_THROW(svc::wire_chaos_from_json(json + "}"), Error);
+  EXPECT_THROW(svc::wire_chaos_from_json(
+                   with("\"wire_faults\"",
+                        "\"entry\": " + adv::to_json(entry) +
+                            ", \"wire_faults\"")),
+               Error);
 }
 
 }  // namespace

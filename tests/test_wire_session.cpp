@@ -31,6 +31,13 @@ std::string unique_uds_path(const char* tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
+svc::WireFaultPlan::Entry kill_after_flush(std::uint32_t round) {
+  svc::WireFaultPlan::Entry e;
+  e.kind = svc::WireFaultPlan::Kind::kKillAfterFlush;
+  e.round = round;
+  return e;
+}
+
 TEST(WireSession, SixteenInterleavedSessionsMatchSoloRuns) {
   const std::string path = unique_uds_path("interleave");
   svc::DaemonOptions dopt;
@@ -148,7 +155,8 @@ TEST(WireSession, MidSessionDisconnectResolvesStructurally) {
   const std::string path = unique_uds_path("drop");
   svc::DaemonOptions dopt;
   dopt.uds_path = path;
-  dopt.drop_connection_after_rounds = 3;  // hard-close, no goodbye frames
+  // Hard-close after flushing round 2 (the third round), no goodbye frames.
+  dopt.fault_plan.entries.push_back(kill_after_flush(2));
   svc::Daemon daemon(dopt);
   daemon.start();
   {
@@ -183,7 +191,7 @@ TEST(WireSession, StrictRunThrowsWithTransportReason) {
   const std::string path = unique_uds_path("strict");
   svc::DaemonOptions dopt;
   dopt.uds_path = path;
-  dopt.drop_connection_after_rounds = 2;
+  dopt.fault_plan.entries.push_back(kill_after_flush(1));
   svc::Daemon daemon(dopt);
   daemon.start();
   {
