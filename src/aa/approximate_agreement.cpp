@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "ba/gradecast.h"
 #include "crypto/sha256.h"
 #include "util/wire.h"
 
@@ -33,7 +32,7 @@ BigInt midpoint(const BigInt& lo, const BigInt& hi) {
   return BigInt(sum.magnitude() >> 1, sum.negative());
 }
 
-/// The shared update rule: sort the accepted multiset, trim t per side,
+/// The update rule: sort the accepted multiset, trim t per side,
 /// take the midpoint of the surviving range.
 BigInt trimmed_midpoint(std::vector<BigInt> accepted, int t) {
   std::sort(accepted.begin(), accepted.end());
@@ -131,29 +130,6 @@ BigInt SyncApproxAgreement::run(net::PartyContext& ctx, const BigInt& input,
       if (auto v = decode_value(*payload_of[static_cast<std::size_t>(j)])) {
         accepted.push_back(std::move(*v));
       }
-    }
-    value = trimmed_midpoint(std::move(accepted), t);
-  }
-  return value;
-}
-
-BigInt GradecastApproxAgreement::run(net::PartyContext& ctx,
-                                     const BigInt& input,
-                                     std::size_t rounds) const {
-  const int t = ctx.t();
-  auto phase = ctx.phase("GradecastAA");
-  BigInt value = input;
-  for (std::size_t iter = 0; iter < rounds; ++iter) {
-    // Everyone gradecasts its value; accept anything with grade >= 1.
-    // Gradecast's consistency guarantee gives exactly the multiset shape
-    // the halving argument needs: honest leaders' values are accepted by
-    // everyone, and a byzantine leader contributes one value network-wide
-    // or none (parties may disagree only on inclusion, not on content).
-    const auto graded = ba::gradecast_all(ctx, encode_value(value));
-    std::vector<BigInt> accepted;
-    for (const auto& g : graded) {
-      if (g.grade < 1) continue;
-      if (auto v = decode_value(*g.value)) accepted.push_back(std::move(*v));
     }
     value = trimmed_midpoint(std::move(accepted), t);
   }

@@ -5,8 +5,9 @@
 // Included as a comparison substrate: AA relaxes Agreement to "outputs
 // within epsilon" and converges by iterated averaging, with every iteration
 // shipping full values to everyone -- exactly the O(l n^2)-per-round pattern
-// whose cost the paper's CA protocol avoids. The bench bench_aa measures
-// the contrast.
+// whose cost the paper's CA protocol avoids. Only the unit tests run it: it
+// is not one of the adv::known_protocols() targets, so the oracle, fuzzer
+// and benchmarks do not cover it.
 //
 // Algorithm (gradecast-flavoured single-hop validation, in the style of the
 // simple gradecast-based AA of Ben-Or-Dolev-Hoch):
@@ -34,17 +35,6 @@ class SyncApproxAgreement {
  public:
   /// Runs `rounds` halving iterations (2 communication rounds each) and
   /// returns the final value. All honest parties must pass equal `rounds`.
-  BigInt run(net::PartyContext& ctx, const BigInt& input,
-             std::size_t rounds) const;
-};
-
-/// The same iterated halving, but with each exchange validated by a full
-/// gradecast (values with grade >= 1 are accepted) -- the literal
-/// "simple gradecast based" construction of [6]. Costs 3 rounds and
-/// ~3 l n^2 bits per iteration versus hash-echo's 2 rounds and
-/// ~l n^2 + kappa n^3 bits; bench_aa contrasts them.
-class GradecastApproxAgreement {
- public:
   BigInt run(net::PartyContext& ctx, const BigInt& input,
              std::size_t rounds) const;
 };

@@ -41,7 +41,7 @@ void validate_case(const FuzzCase& c) {
   // budget the oracle reasons about. Note |charged| itself is NOT capped
   // at t -- pushing past the threshold is what the degradation campaign
   // does; the oracle only promises invariants while the union fits in t.
-  for (const int id : c.faults.charged(c.n)) {
+  for (const int id : c.faults.charged()) {
     require(!seen.contains(id),
             "FuzzCase: fault charged to a corrupted party");
   }
@@ -128,7 +128,7 @@ bool is_corrupted(const FuzzCase& c, int id) {
 bool is_excluded(const FuzzCase& c, int id) {
   if (is_corrupted(c, id)) return true;
   if (c.faults.empty()) return false;
-  const std::vector<int> ch = c.faults.charged(c.n);
+  const std::vector<int> ch = c.faults.charged();
   return std::binary_search(ch.begin(), ch.end(), id);
 }
 
@@ -894,7 +894,7 @@ FuzzCase Fuzzer::next_case() {
     for (int attempt = 0; attempt < 8 && fc.max_charged >= 1; ++attempt) {
       fc.seed = rng_.next_u64();
       net::FaultPlan plan = net::sample_fault_plan(fc);
-      const std::vector<int> charged = plan.charged(c.n);
+      const std::vector<int> charged = plan.charged();
       const bool overlap = std::any_of(
           charged.begin(), charged.end(),
           [&](int id) { return ids.contains(id); });

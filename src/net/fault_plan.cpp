@@ -40,9 +40,13 @@ void FaultPlan::validate(int n) const {
   }
   for (const Partition& p : partitions) {
     require(!p.side.empty(), "FaultPlan: partition side is empty");
+    std::set<int> seen;
+    for (int id : p.side) {
+      check_party(id, n, "partition");
+      require(seen.insert(id).second, "FaultPlan: duplicate partition id");
+    }
     require(p.side.size() < static_cast<std::size_t>(n),
             "FaultPlan: partition side contains every party");
-    for (int id : p.side) check_party(id, n, "partition");
     check_window(p.from_round, p.until_round, "partition");
   }
   for (const Shuffle& s : shuffles) {
@@ -95,14 +99,13 @@ std::optional<std::uint64_t> FaultPlan::shuffle_seed(int party) const {
   return std::nullopt;
 }
 
-std::vector<int> FaultPlan::charged(int n) const {
+std::vector<int> FaultPlan::charged() const {
   std::set<int> out;
   for (const Crash& c : crashes) out.insert(c.party);
   for (const LinkCut& c : cuts) out.insert(c.from);
   for (const Partition& p : partitions) {
     for (int id : p.side) out.insert(id);
   }
-  (void)n;
   return std::vector<int>(out.begin(), out.end());
 }
 

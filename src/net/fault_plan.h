@@ -1,4 +1,4 @@
-// Environment fault injection for the network simulators.
+// Environment fault injection for the network simulator.
 //
 // The paper's adversary corrupts up to t parties and controls *message
 // content*; the environment faults modelled here are strictly weaker --
@@ -12,13 +12,12 @@
 // (bench/degradation_sweep) probes exactly that boundary.
 //
 // A plan is pure data: a replayable, schedule-independent description of
-// which faults fire in which rounds. The engines (SyncNetwork,
-// AsyncNetwork) interpret it deterministically, so the same (protocol,
-// inputs, plan, seed) tuple reproduces bit-identical transcripts on every
-// run -- fault schedules are corpus material for the fuzzer, not one-off
-// chaos.
+// which faults fire in which rounds. The round engine (SyncNetwork)
+// interprets it deterministically, so the same (protocol, inputs, plan,
+// seed) tuple reproduces bit-identical transcripts on every run -- fault
+// schedules are corpus material for the fuzzer, not one-off chaos.
 //
-// Round semantics (synchronous engine):
+// Round semantics:
 //  * Crash [a, b): the party executes no protocol code during round slices
 //    a..b-1 and receives none of the traffic consumed in those slices. With
 //    b == kNoRecovery the crash is permanent (crash-stop): the party's
@@ -35,11 +34,6 @@
 //    deterministic per-(seed, party, round) stream before delivery. This
 //    charges *nobody*: honest protocols must be delivery-order
 //    insensitive (net::first_per_sender canonicalizes by sender id).
-//
-// The asynchronous engine interprets crash-stop, link cuts and partitions
-// with windows measured in scheduler delivery steps; crash-recovery and
-// inbox permutation are already inside the async scheduler's adversarial
-// power (arbitrary delay, arbitrary order) and are not mirrored there.
 #pragma once
 
 #include <cstdint>
@@ -97,7 +91,8 @@ struct FaultPlan {
   }
 
   /// Throws Error if any entry is malformed for an n-party network
-  /// (ids out of range, empty or total partition side, empty windows).
+  /// (ids out of range, empty, total or repeating partition side, empty
+  /// windows).
   void validate(int n) const;
 
   /// True iff `party` is inside some crash window at `round`.
@@ -116,7 +111,7 @@ struct FaultPlan {
   /// in the synchronous model, so order sensitivity is a protocol bug, not
   /// a fault. A protocol correct against t byzantine parties tolerates any
   /// plan with |charged| <= t.
-  std::vector<int> charged(int n) const;
+  std::vector<int> charged() const;
 };
 
 /// Configuration for the seeded plan sampler: draws a random plan charging
@@ -136,7 +131,7 @@ struct FaultSampleConfig {
 
 FaultPlan sample_fault_plan(const FaultSampleConfig& cfg);
 
-/// Fault bookkeeping for one run (part of RunStats / AsyncStats).
+/// Fault bookkeeping for one run (part of RunStats).
 struct FaultStats {
   std::uint64_t crashes_injected = 0;  // crash windows that started
   std::uint64_t recoveries = 0;        // crash windows that ended in time

@@ -62,11 +62,11 @@ TEST(Degradation, ShuffleRowsHoldAtEverySize) {
 
 TEST(Degradation, PlanBuilderMatchesItsContract) {
   const net::FaultPlan crash = degradation_plan(FaultKind::kCrashStop, 2, 7);
-  EXPECT_EQ(crash.charged(7), (std::vector<int>{0, 1}));
+  EXPECT_EQ(crash.charged(), (std::vector<int>{0, 1}));
   const net::FaultPlan part = degradation_plan(FaultKind::kPartition, 3, 7);
-  EXPECT_EQ(part.charged(7), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(part.charged(), (std::vector<int>{0, 1, 2}));
   const net::FaultPlan shuffle = degradation_plan(FaultKind::kShuffle, 0, 7);
-  EXPECT_TRUE(shuffle.charged(7).empty());
+  EXPECT_TRUE(shuffle.charged().empty());
   EXPECT_THROW(degradation_plan(FaultKind::kPartition, 7, 7), Error);
   EXPECT_THROW(degradation_plan(FaultKind::kCrashStop, 0, 7), Error);
   EXPECT_THROW(degradation_plan(FaultKind::kShuffle, 1, 7), Error);

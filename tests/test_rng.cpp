@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "async/async_network.h"
 #include "net/sync_network.h"
 
 namespace coca {
@@ -101,13 +100,6 @@ TEST(RngStream, ScriptedStreamFirstValuesPinned) {
                           static_cast<std::uint64_t>(p));
     EXPECT_EQ(rng.next_u64(), expected[p]) << "party " << p;
   }
-}
-
-TEST(RngStream, AsyncStreamFirstValuesPinned) {
-  Rng sched = Rng::stream(async::kSchedulerSeedDomain, 1);
-  EXPECT_EQ(sched.next_u64(), 0x0ca21288a8b70916ULL);
-  Rng honest2 = Rng::stream(async::kProcessSeedDomain, std::uint64_t{2} << 1);
-  EXPECT_EQ(honest2.next_u64(), 0xb3fa4b82aba11cc7ULL);
 }
 
 TEST(RngStream, StreamsAreOrderIndependent) {

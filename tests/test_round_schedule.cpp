@@ -12,7 +12,6 @@
 
 #include "aa/approximate_agreement.h"
 #include "ba/ba_plus.h"
-#include "ba/gradecast.h"
 #include "ba/long_ba_plus.h"
 #include "ba/phase_king.h"
 #include "ba/turpin_coan.h"
@@ -114,19 +113,6 @@ TEST(RoundSchedule, BAPlusDependsOnlyOnAgreedBranch) {
   EXPECT_EQ(agreed, rounds_for(false));
   EXPECT_EQ(fallthrough, rounds_for(true));
   EXPECT_LT(agreed, fallthrough);
-}
-
-TEST(RoundSchedule, GradecastFixed) {
-  expect_fixed_rounds(7, 2, [&](std::size_t variant) {
-    return std::function<int(net::PartyContext&, int)>(
-        [variant](net::PartyContext& ctx, int id) {
-          (void)ba::gradecast(
-              ctx, 3,
-              id == 3 ? std::optional<Bytes>(Bytes(variant + 1, 0x5A))
-                      : std::nullopt);
-          return 0;
-        });
-  });
 }
 
 TEST(RoundSchedule, HighCostCAFixed) {

@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
   meta.seed = c.input_seed;
   if (!fault_kind.empty()) {
     meta.notes = "fault=" + fault_kind + " f=" +
-                 std::to_string(c.faults.charged(c.n).size());
+                 std::to_string(c.faults.charged().size());
   } else if (!c.corrupted.empty()) {
     meta.notes = "corrupted=" + std::to_string(c.corrupted.size());
   }
