@@ -132,6 +132,49 @@ void BM_BigNatToBits(benchmark::State& state) {
 }
 BENCHMARK(BM_BigNatToBits)->Arg(4096)->Arg(65536);
 
+// The l-term value operations at l = 2^22 (the wide-input regime), each at
+// a bit offset that is not a byte boundary, so they take the 64-bit shift
+// path rather than memcpy.
+constexpr std::size_t kWideEll = std::size_t{1} << 22;
+constexpr std::size_t kOddBits = 3;
+
+void BM_WideMinMaxFill(benchmark::State& state) {
+  Rng rng(10);
+  const Bitstring prefix = rng.bits(kWideEll / 2 + kOddBits);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Bitstring::min_fill(prefix, kWideEll));
+    benchmark::DoNotOptimize(Bitstring::max_fill(prefix, kWideEll));
+  }
+}
+BENCHMARK(BM_WideMinMaxFill)->Unit(benchmark::kMicrosecond);
+
+void BM_WideSubstr(benchmark::State& state) {
+  Rng rng(11);
+  const Bitstring b = rng.bits(kWideEll + kOddBits);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(b.substr(kOddBits, kWideEll));
+  }
+}
+BENCHMARK(BM_WideSubstr)->Unit(benchmark::kMicrosecond);
+
+void BM_WideToBits(benchmark::State& state) {
+  Rng rng(12);
+  const BigNat a = rng.nat_below_pow2(kWideEll - kOddBits);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a.to_bits(kWideEll - kOddBits));
+  }
+}
+BENCHMARK(BM_WideToBits)->Unit(benchmark::kMicrosecond);
+
+void BM_WideFromBits(benchmark::State& state) {
+  Rng rng(13);
+  const Bitstring bits = rng.bits(kWideEll - kOddBits);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BigNat::from_bits(bits));
+  }
+}
+BENCHMARK(BM_WideFromBits)->Unit(benchmark::kMicrosecond);
+
 // Whole-protocol building blocks on the simulator (measures wall time of a
 // full lock-step run including threading overhead).
 void BM_PhaseKingBinary(benchmark::State& state) {

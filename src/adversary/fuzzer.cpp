@@ -478,7 +478,7 @@ FuzzOutcome run_ba_plus_like(const FuzzCase& c, const ExecHooks& hooks,
         check_agreement(outputs, o);
         // Honest input multiset, for the two BA+ extras; agreement already
         // compared the outputs, so the extras only need the first one.
-        std::map<Bytes, int> honest_count;
+        std::map<Bytes, int, BytesLess> honest_count;
         for (int id = 0; id < c.n; ++id) {
           if (!is_excluded(c, id)) {
             ++honest_count[inputs[static_cast<std::size_t>(id)]];

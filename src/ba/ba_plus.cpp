@@ -41,7 +41,7 @@ MaybeBytes BAPlus::run(net::PartyContext& ctx, const Bytes& input) const {
   }
 
   // Line 3: a and b are the (at most two) values voted by >= n-t parties.
-  std::map<Bytes, int> votes;
+  std::map<Bytes, int, BytesLess> votes;
   for (const auto& e : net::first_per_sender(ctx.advance())) {
     Reader r(e.payload);
     const auto k = r.u8();
@@ -66,7 +66,7 @@ MaybeBytes BAPlus::run(net::PartyContext& ctx, const Bytes& input) const {
                      return votes[x] > votes[y];
                    });
   if (heavy.size() > 2) heavy.resize(2);
-  std::sort(heavy.begin(), heavy.end());  // a <= b in value order
+  std::sort(heavy.begin(), heavy.end(), BytesLess{});  // a <= b in value order
 
   MaybeBytes a, b;
   if (heavy.size() == 1) {

@@ -52,13 +52,15 @@ FindPrefixResult search(net::PartyContext& ctx, const ba::LongBAPlus& lba_plus,
       right = mid;
     } else {
       // Intrusion Tolerance: prefix || agreed prefixes an honest value.
+      // If v leaves PREFIX*, it is replaced by the nearer fill: MIN_l when
+      // its first diverging bit is 0 (v is below), MAX_l when it is 1.
       prefix.append(*agreed);
-      const auto cmp = Bitstring::numeric_compare(
-          v.prefix(mid * unit), prefix);  // |prefix| == mid * unit here
-      if (cmp == std::strong_ordering::less) {
-        v = Bitstring::min_fill(prefix, v.size());
-      } else if (cmp == std::strong_ordering::greater) {
-        v = Bitstring::max_fill(prefix, v.size());
+      require(prefix.size() == mid * unit,
+              "find_prefix: PREFIX* out of step with the search position");
+      const std::size_t agree = Bitstring::common_prefix_len(v, prefix);
+      if (agree < prefix.size()) {
+        v = v.bit(agree) ? Bitstring::max_fill(prefix, v.size())
+                         : Bitstring::min_fill(prefix, v.size());
       }
 #ifdef COCA_CANARY_BUG
       // Planted off-by-one (cmake -DCOCA_CANARY_BUG=ON): failing to step

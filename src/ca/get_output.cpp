@@ -22,12 +22,11 @@ Bitstring get_output(net::PartyContext& ctx, const ba::BinaryBA& bin,
 
   // Lines 1-3: parties whose witness diverges from PREFIX* announce which
   // side it lies on. B = 0 means "below MIN_l(PREFIX*)" (so MIN is valid),
-  // B = 1 means "above MAX_l(PREFIX*)".
-  const Bitstring min_value = Bitstring::min_fill(prefix, ell);
-  const Bitstring max_value = Bitstring::max_fill(prefix, ell);
-  if (!v_bot.has_prefix(prefix)) {
-    const bool below =
-        Bitstring::numeric_compare(v_bot, min_value) == std::strong_ordering::less;
+  // B = 1 means "above MAX_l(PREFIX*)". Both fills agree with PREFIX* up to
+  // its length, so the side is the witness's bit where it first leaves it.
+  const std::size_t agree = Bitstring::common_prefix_len(v_bot, prefix);
+  if (agree < prefix.size()) {
+    const bool below = !v_bot.bit(agree);
     ctx.send_all(Bytes{static_cast<std::uint8_t>(below ? 0 : 1)});
   }
 
@@ -41,7 +40,8 @@ Bitstring get_output(net::PartyContext& ctx, const ba::BinaryBA& bin,
   const bool choice = m > 0 && count[0] < (m + 1) / 2;
 
   // Line 5: binary BA on the choice; 0 => MIN_l(PREFIX*), 1 => MAX_l(PREFIX*).
-  return bin.run(ctx, choice) ? max_value : min_value;
+  return bin.run(ctx, choice) ? Bitstring::max_fill(prefix, ell)
+                              : Bitstring::min_fill(prefix, ell);
 }
 
 }  // namespace coca::ca

@@ -51,10 +51,9 @@ BigNat PiN::run(net::PartyContext& ctx, const BigNat& v_in) const {
   // The paper's line 10 replaces v when |BITS(v)| >= l_EST; we replace only
   // when strictly longer -- a value of exactly l_EST bits already fits, and
   // replacing it by 2^{l_EST}-1 could leave the honest range.
-  const BigNat v = v_in.bit_length() > ell_est ? BigNat::max_with_bits(ell_est)
-                                               : v_in;
-  return BigNat::from_bits(
-      fixed_blocks_.run(ctx, ell_est, v.to_bits(ell_est)));
+  Bitstring v = v_in.bit_length() > ell_est ? Bitstring::ones(ell_est)
+                                            : v_in.to_bits(ell_est);
+  return BigNat::from_bits(fixed_blocks_.run(ctx, ell_est, std::move(v)));
 }
 
 }  // namespace coca::ca

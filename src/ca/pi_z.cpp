@@ -9,11 +9,11 @@ BigInt PiZ::run(net::PartyContext& ctx, const BigInt& v_in) const {
   // Line 2: parties on the wrong side contribute 0 (valid by Corollary 1's
   // proof: the agreed sign is some honest party's sign, so the honest range
   // crosses or touches 0 whenever signs were mixed).
-  const BigNat magnitude =
-      sign_out == v_in.sign_bit() ? v_in.magnitude() : BigNat(0);
-  const BigNat out = pi_n_.run(ctx, magnitude);
+  const BigNat zero;
+  const BigNat& magnitude =
+      sign_out == v_in.sign_bit() ? v_in.magnitude() : zero;
   // Line 3.
-  return BigInt(out, sign_out);
+  return BigInt(pi_n_.run(ctx, magnitude), sign_out);
 }
 
 }  // namespace coca::ca

@@ -34,32 +34,21 @@ BigNat BigNat::from_bits(const Bitstring& bits) {
   if (n == 0) return r;
   // The packed MSB-first bytes, read as one big-endian integer, equal
   // VAL(bits) << pad (the trailing pad bits of the last byte are zero).
-  // Gather limbs eight bytes at a time from the byte tail, then undo the
-  // shift -- O(n/64) instead of a masked store per bit.
+  // Load limbs eight bytes at a time from the byte tail, then undo the
+  // shift in place.
   const Bytes& p = bits.packed();
-  const std::size_t nbytes = p.size();
   const std::size_t pad = (8 - n % 8) % 8;
-  std::vector<std::uint64_t> tmp(ceil_div(nbytes, 8) + 1, 0);
-  std::size_t limb = 0;
-  std::size_t end = nbytes;  // one past the least-significant unconsumed byte
-  for (; end >= 8; end -= 8) {
-    std::uint64_t v = 0;
-    for (std::size_t b = 0; b < 8; ++b) v = (v << 8) | p[end - 8 + b];
-    tmp[limb++] = v;
-  }
-  if (end > 0) {
-    std::uint64_t v = 0;
-    for (std::size_t b = 0; b < end; ++b) v = (v << 8) | p[b];
-    tmp[limb] = v;
-  }
+  r.limbs_.assign(ceil_div(p.size(), 8), 0);
+  std::size_t end = p.size();  // one past the least-significant unread byte
+  std::size_t i = 0;
+  for (; end >= 8; end -= 8) r.limbs_[i++] = load_be64(p.data() + end - 8);
+  for (std::size_t b = 0; b < end; ++b) r.limbs_[i] = (r.limbs_[i] << 8) | p[b];
   if (pad != 0) {
-    for (std::size_t i = 0; i + 1 < tmp.size(); ++i) {
-      tmp[i] = (tmp[i] >> pad) | (tmp[i + 1] << (64 - pad));
+    for (std::size_t k = 0; k + 1 < r.limbs_.size(); ++k) {
+      r.limbs_[k] = (r.limbs_[k] >> pad) | (r.limbs_[k + 1] << (64 - pad));
     }
-    tmp.back() >>= pad;
+    r.limbs_.back() >>= pad;
   }
-  r.limbs_.assign(tmp.begin(),
-                  tmp.begin() + narrow<std::ptrdiff_t>(ceil_div(n, 64)));
   r.trim();
   return r;
 }
@@ -90,36 +79,26 @@ std::size_t BigNat::bit_length() const {
 
 Bitstring BigNat::to_bits(std::size_t ell) const {
   require(bit_length() <= ell, "BigNat::to_bits: value too large for ell bits");
-  // Inverse of from_bits: emit value << pad as big-endian packed bytes,
-  // eight at a time per limb (see from_bits for the layout argument).
+  // Inverse of from_bits: store value << pad as big-endian packed bytes,
+  // eight at a time from the tail (see from_bits for the layout argument).
   const std::size_t nbytes = ceil_div(ell, 8);
   const std::size_t pad = (8 - ell % 8) % 8;
-  std::vector<std::uint64_t> tmp(ceil_div(nbytes, 8), 0);
-  std::copy(limbs_.begin(), limbs_.end(), tmp.begin());
-  if (pad != 0) {
-    for (std::size_t i = tmp.size(); i-- > 0;) {
-      const std::uint64_t lo = i > 0 ? tmp[i - 1] : 0;
-      tmp[i] = (tmp[i] << pad) | (lo >> (64 - pad));
-    }
+  const auto limb = [&](std::size_t k) {
+    return k < limbs_.size() ? limbs_[k] : std::uint64_t{0};
+  };
+  // Limb i of value << pad.
+  const auto word = [&](std::size_t i) {
+    if (pad == 0) return limb(i);
+    return (limb(i) << pad) | (i > 0 ? limb(i - 1) >> (64 - pad) : 0);
+  };
+  Bytes packed(nbytes);
+  std::size_t j = nbytes;  // one past the next byte to write
+  std::size_t i = 0;
+  for (; j >= 8; j -= 8) store_be64(packed.data() + j - 8, word(i++));
+  for (std::uint64_t v = word(i); j > 0; v >>= 8) {
+    packed[--j] = static_cast<std::uint8_t>(v);
   }
-  Bytes packed(nbytes, 0);
-  std::size_t j = nbytes;  // next byte to write, moving toward the front
-  std::size_t limb = 0;
-  for (; j >= 8; j -= 8, ++limb) {
-    std::uint64_t v = tmp[limb];
-    for (std::size_t b = 0; b < 8; ++b) {
-      packed[j - 1 - b] = static_cast<std::uint8_t>(v);
-      v >>= 8;
-    }
-  }
-  if (j > 0) {
-    std::uint64_t v = tmp[limb];
-    while (j > 0) {
-      packed[--j] = static_cast<std::uint8_t>(v);
-      v >>= 8;
-    }
-  }
-  return Bitstring::from_packed(packed, ell);
+  return Bitstring::from_packed(std::move(packed), ell);
 }
 
 std::uint64_t BigNat::to_u64() const {
@@ -302,7 +281,11 @@ BigInt BigInt::operator+(const BigInt& o) const {
 BigInt BigInt::operator-(const BigInt& o) const { return *this + (-o); }
 
 std::string BigInt::to_decimal() const {
-  return neg_ ? "-" + mag_.to_decimal() : mag_.to_decimal();
+  // Built front to back: `"-" + s` inlines an insert that GCC 12 at -O3
+  // misreads as an overlapping memcpy (-Wrestrict).
+  std::string out = neg_ ? "-" : "";
+  out += mag_.to_decimal();
+  return out;
 }
 
 }  // namespace coca

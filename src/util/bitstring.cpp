@@ -1,45 +1,49 @@
 #include "util/bitstring.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace coca {
 namespace {
 
+// Copies bit `src_off` of `src` to bit `dst_off` of `dst`, MSB-first, by
+// OR-ing it in (the destination bit must be zero).
+void copy_bit(std::uint8_t* dst, std::size_t dst_off, const std::uint8_t* src,
+              std::size_t src_off) {
+  if ((src[src_off / 8] >> (7 - src_off % 8)) & 1U) {
+    dst[dst_off / 8] |= static_cast<std::uint8_t>(1U << (7 - dst_off % 8));
+  }
+}
+
 // Copies `n` bits from `src` starting at bit offset `src_off` into `dst`
 // starting at bit offset `dst_off`. Bit offsets are MSB-first. Destination
-// must be zeroed in the target range. Optimized for the byte-gather case.
+// must be zeroed in the target range. Once `dst` is byte-aligned, whole
+// bytes go by memcpy when `src` is aligned too, else 64 bits per step; only
+// the last < 64 bits go a byte or a bit at a time.
 void copy_bits(std::uint8_t* dst, std::size_t dst_off, const std::uint8_t* src,
                std::size_t src_off, std::size_t n) {
-  if (n == 0) return;
-  // Align destination to a byte boundary bit-by-bit.
-  while (n > 0 && dst_off % 8 != 0) {
-    const bool b = (src[src_off / 8] >> (7 - src_off % 8)) & 1U;
-    if (b) dst[dst_off / 8] |= static_cast<std::uint8_t>(1U << (7 - dst_off % 8));
-    ++dst_off;
-    ++src_off;
-    --n;
+  for (; n > 0 && dst_off % 8 != 0; ++dst_off, ++src_off, --n) {
+    copy_bit(dst, dst_off, src, src_off);
   }
-  // Whole destination bytes: gather 8 source bits via a 16-bit window.
-  const std::size_t shift = src_off % 8;
-  while (n >= 8) {
-    const std::size_t sb = src_off / 8;
-    std::uint16_t window = static_cast<std::uint16_t>(src[sb]) << 8;
-    // The second byte may lie one past the last bit we need; it exists
-    // whenever shift > 0 because src holds at least src_off + 8 bits.
-    if (shift != 0) window |= src[sb + 1];
-    dst[dst_off / 8] = static_cast<std::uint8_t>(window >> (8 - shift));
-    dst_off += 8;
-    src_off += 8;
-    n -= 8;
+  std::uint8_t* d = dst + dst_off / 8;
+  const std::uint8_t* s = src + src_off / 8;
+  const unsigned shift = src_off % 8;
+  if (shift == 0) {
+    std::memcpy(d, s, n / 8);
+    d += n / 8;
+    s += n / 8;
+  } else {
+    // 64 bits span 9 source bytes; s[8] holds the last `shift` of them and
+    // is in bounds because the source has at least 64 more bits.
+    for (; n >= 64; n -= 64, d += 8, s += 8) {
+      store_be64(d, (load_be64(s) << shift) | (s[8] >> (8 - shift)));
+    }
+    for (; n >= 8; n -= 8, ++d, ++s) {
+      // Same argument: at least 8 more source bits, so s[1] exists.
+      *d = static_cast<std::uint8_t>((s[0] << shift) | (s[1] >> (8 - shift)));
+    }
   }
-  // Tail bits.
-  while (n > 0) {
-    const bool b = (src[src_off / 8] >> (7 - src_off % 8)) & 1U;
-    if (b) dst[dst_off / 8] |= static_cast<std::uint8_t>(1U << (7 - dst_off % 8));
-    ++dst_off;
-    ++src_off;
-    --n;
-  }
+  for (std::size_t i = 0; i < n % 8; ++i) copy_bit(d, i, s, shift + i);
 }
 
 }  // namespace
@@ -55,9 +59,7 @@ Bitstring Bitstring::ones(std::size_t n) {
   Bitstring b;
   b.nbits_ = n;
   b.bytes_.assign(ceil_div(n, 8), 0xFF);
-  if (n % 8 != 0 && !b.bytes_.empty()) {
-    b.bytes_.back() = static_cast<std::uint8_t>(0xFF << (8 - n % 8));
-  }
+  b.clear_pad();
   return b;
 }
 
@@ -80,17 +82,21 @@ Bitstring Bitstring::from_u64(std::uint64_t v, std::size_t width) {
   return b;
 }
 
-Bitstring Bitstring::from_packed(const Bytes& packed, std::size_t nbits) {
+Bitstring Bitstring::from_packed(Bytes packed, std::size_t nbits) {
   require(packed.size() == ceil_div(nbits, 8),
           "Bitstring::from_packed: size mismatch");
   Bitstring b;
   b.nbits_ = nbits;
-  b.bytes_ = packed;
+  b.bytes_ = std::move(packed);
   // Enforce the trailing-bits-zero invariant (wire data may violate it).
-  if (nbits % 8 != 0 && !b.bytes_.empty()) {
-    b.bytes_.back() &= static_cast<std::uint8_t>(0xFF << (8 - nbits % 8));
-  }
+  b.clear_pad();
   return b;
+}
+
+void Bitstring::clear_pad() {
+  if (nbits_ % 8 != 0) {
+    bytes_.back() &= static_cast<std::uint8_t>(0xFF << (8 - nbits_ % 8));
+  }
 }
 
 bool Bitstring::bit(std::size_t i) const {
@@ -145,25 +151,41 @@ bool Bitstring::has_prefix(const Bitstring& p) const {
 }
 
 Bitstring Bitstring::min_fill(const Bitstring& prefix, std::size_t ell) {
-  require(prefix.nbits_ <= ell, "Bitstring::min_fill: prefix longer than ell");
-  Bitstring out = prefix;
-  out.append(zeros(ell - prefix.nbits_));
-  return out;
+  return fill(prefix, ell, 0x00);
 }
 
 Bitstring Bitstring::max_fill(const Bitstring& prefix, std::size_t ell) {
-  require(prefix.nbits_ <= ell, "Bitstring::max_fill: prefix longer than ell");
-  Bitstring out = prefix;
-  out.append(ones(ell - prefix.nbits_));
+  return fill(prefix, ell, 0xFF);
+}
+
+Bitstring Bitstring::fill(const Bitstring& prefix, std::size_t ell,
+                          std::uint8_t pattern) {
+  require(prefix.nbits_ <= ell,
+          "Bitstring::min_fill/max_fill: prefix longer than ell");
+  Bitstring out;
+  out.nbits_ = ell;
+  out.bytes_.assign(ceil_div(ell, 8), pattern);
+  std::copy(prefix.bytes_.begin(), prefix.bytes_.end(), out.bytes_.begin());
+  // The prefix's pad bits are zero: fill them too, then clear those past ell.
+  if (prefix.nbits_ % 8 != 0) {
+    out.bytes_[prefix.nbits_ / 8] |=
+        static_cast<std::uint8_t>(pattern >> (prefix.nbits_ % 8));
+  }
+  out.clear_pad();
   return out;
 }
 
 std::size_t Bitstring::common_prefix_len(const Bitstring& a,
                                          const Bitstring& b) {
   const std::size_t max = std::min(a.nbits_, b.nbits_);
-  // Byte-wise scan for the first differing byte.
+  // Skip equal 256-byte blocks by memcmp, then scan bytes, then bits.
+  constexpr std::size_t kBlock = 256;
   const std::size_t full = max / 8;
   std::size_t i = 0;
+  while (i + kBlock <= full &&
+         std::memcmp(&a.bytes_[i], &b.bytes_[i], kBlock) == 0) {
+    i += kBlock;
+  }
   while (i < full && a.bytes_[i] == b.bytes_[i]) ++i;
   std::size_t bitpos = i * 8;
   while (bitpos < max && a.bit(bitpos) == b.bit(bitpos)) ++bitpos;

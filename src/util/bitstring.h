@@ -35,7 +35,7 @@ class Bitstring {
   /// Throws if `v` does not fit in `width` bits.
   static Bitstring from_u64(std::uint64_t v, std::size_t width);
   /// Reconstruct from packed MSB-first bytes (inverse of `packed()`).
-  static Bitstring from_packed(const Bytes& packed, std::size_t nbits);
+  static Bitstring from_packed(Bytes packed, std::size_t nbits);
 
   std::size_t size() const { return nbits_; }
   bool empty() const { return nbits_ == 0; }
@@ -80,6 +80,13 @@ class Bitstring {
   std::string to_string() const;
 
  private:
+  /// `prefix` padded to `ell` bits with the bit that `pattern` repeats:
+  /// MIN_l for 0x00, MAX_l for 0xFF.
+  static Bitstring fill(const Bitstring& prefix, std::size_t ell,
+                        std::uint8_t pattern);
+  /// Zeroes the unused trailing bits of the final byte.
+  void clear_pad();
+
   Bytes bytes_;
   std::size_t nbits_ = 0;
 };

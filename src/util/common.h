@@ -5,8 +5,10 @@
 // terms of `Bytes` payloads and throws `coca::Error` on contract violations.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -16,6 +18,17 @@ namespace coca {
 
 /// Raw message / value payload. All wire traffic is a `Bytes`.
 using Bytes = std::vector<std::uint8_t>;
+
+/// Byte-lexicographic order on `Bytes`: the order of `operator<`, spelled
+/// out because GCC 12 at -O3 misreads the memcmp inlined into
+/// std::vector's `operator<=>` as unbounded (a false -Wstringop-overread).
+struct BytesLess {
+  bool operator()(const Bytes& a, const Bytes& b) const {
+    const std::size_t n = a.size() < b.size() ? a.size() : b.size();
+    const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+    return c != 0 ? c < 0 : a.size() < b.size();
+  }
+};
 
 /// Base error for all coca failures (contract violations, protocol aborts).
 class Error : public std::runtime_error {
@@ -47,6 +60,20 @@ To narrow(From v) {
 /// Ceiling division for non-negative integers.
 constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;
+}
+
+/// The 8 bytes at `p` (any alignment) as a big-endian integer: byte 0 is the
+/// most significant, matching the MSB-first bit order of packed bitstrings.
+inline std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return std::endian::native == std::endian::little ? __builtin_bswap64(v) : v;
+}
+
+/// Inverse of `load_be64`: stores `v` big-endian into the 8 bytes at `p`.
+inline void store_be64(std::uint8_t* p, std::uint64_t v) {
+  if (std::endian::native == std::endian::little) v = __builtin_bswap64(v);
+  std::memcpy(p, &v, sizeof v);
 }
 
 /// floor(log2(x)) for x >= 1.

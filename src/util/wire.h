@@ -92,7 +92,8 @@ class Reader {
     Bytes packed(data_.begin() + narrow<std::ptrdiff_t>(pos_),
                  data_.begin() + narrow<std::ptrdiff_t>(pos_ + nbytes));
     pos_ += nbytes;
-    return Bitstring::from_packed(packed, static_cast<std::size_t>(*nbits));
+    return Bitstring::from_packed(std::move(packed),
+                                 static_cast<std::size_t>(*nbits));
   }
 
   std::optional<BigNat> bignat() {

@@ -37,6 +37,49 @@ TEST(BigNat, BitsRoundTrip) {
   }
 }
 
+// Bit-at-a-time references for BITS_l and VAL, built only from
+// Bitstring::bit/set_bit and single limb bits, so they share no code with
+// the 64-bit byte-swapped paths of to_bits/from_bits.
+Bitstring ref_to_bits(const BigNat& v, std::size_t ell) {
+  Bitstring out = Bitstring::zeros(ell);
+  const auto& limbs = v.limbs();
+  for (std::size_t k = 0; k < 64 * limbs.size(); ++k) {
+    if ((limbs[k / 64] >> (k % 64)) & 1U) out.set_bit(ell - 1 - k, true);
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> ref_limbs(const Bitstring& bits) {
+  std::vector<std::uint64_t> limbs(ceil_div(bits.size(), 64), 0);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    const std::size_t k = bits.size() - 1 - i;  // weight of bit i
+    if (bits.bit(i)) limbs[k / 64] |= std::uint64_t{1} << (k % 64);
+  }
+  while (!limbs.empty() && limbs.back() == 0) limbs.pop_back();
+  return limbs;
+}
+
+TEST(BigNat, BitsMatchBitReferenceAtEveryPad) {
+  Rng rng(31);
+  std::vector<std::size_t> ells;
+  for (std::size_t ell = 1; ell <= 200; ++ell) ells.push_back(ell);
+  for (std::size_t ell : {4096u, 4097u, 4159u, 9001u}) ells.push_back(ell);
+  for (std::size_t ell : ells) {
+    // pad = (8 - ell % 8) % 8 takes every value 0-7 over these widths.
+    for (const BigNat& v :
+         {rng.nat_below_pow2(ell), rng.nat_below_pow2(rng.below(ell + 1)),
+          BigNat::max_with_bits(ell), BigNat(0)}) {
+      const Bitstring bits = v.to_bits(ell);
+      ASSERT_EQ(bits, ref_to_bits(v, ell)) << "ell=" << ell;
+      ASSERT_EQ(BigNat::from_bits(bits).limbs(), v.limbs()) << "ell=" << ell;
+    }
+    // from_bits on its own, against the reference, for arbitrary bits.
+    const Bitstring bits = rng.bits(ell);
+    ASSERT_EQ(BigNat::from_bits(bits).limbs(), ref_limbs(bits))
+        << "ell=" << ell;
+  }
+}
+
 TEST(BigNat, ToBitsRejectsTooSmallWidth) {
   EXPECT_THROW(BigNat(256).to_bits(8), Error);
   EXPECT_NO_THROW(BigNat(255).to_bits(8));

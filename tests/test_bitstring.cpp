@@ -188,5 +188,179 @@ TEST(Bitstring, FromPackedRejectsWrongSize) {
   EXPECT_THROW(Bitstring::from_packed(Bytes{0x00, 0x00}, 3), Error);
 }
 
+// ---------------------------------------------------------------------------
+// Differential tests against a bit-at-a-time reference. The reference uses
+// only zeros(), bit() and set_bit(), so it shares no code with the memcpy
+// and 64-bit word paths of copy_bits, min_fill, max_fill and
+// common_prefix_len; a bug that a round trip would undo still shows here.
+// Comparing with operator== also checks the zero pad bits.
+
+Bitstring ref_substr(const Bitstring& b, std::size_t pos, std::size_t len) {
+  Bitstring out = Bitstring::zeros(len);
+  for (std::size_t i = 0; i < len; ++i) out.set_bit(i, b.bit(pos + i));
+  return out;
+}
+
+Bitstring ref_concat(const Bitstring& a, const Bitstring& b) {
+  Bitstring out = Bitstring::zeros(a.size() + b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) out.set_bit(i, a.bit(i));
+  for (std::size_t i = 0; i < b.size(); ++i) out.set_bit(a.size() + i, b.bit(i));
+  return out;
+}
+
+Bitstring ref_fill(const Bitstring& prefix, std::size_t ell, bool one) {
+  Bitstring out = Bitstring::zeros(ell);
+  for (std::size_t i = 0; i < ell; ++i) {
+    out.set_bit(i, i < prefix.size() ? prefix.bit(i) : one);
+  }
+  return out;
+}
+
+std::size_t ref_common_prefix_len(const Bitstring& a, const Bitstring& b) {
+  std::size_t i = 0;
+  while (i < a.size() && i < b.size() && a.bit(i) == b.bit(i)) ++i;
+  return i;
+}
+
+// Lengths 0-200 (every length mod 64 and mod 8) plus a few of at least 2^12.
+std::vector<std::size_t> diff_lengths() {
+  std::vector<std::size_t> lens;
+  for (std::size_t len = 0; len <= 200; ++len) lens.push_back(len);
+  for (std::size_t len : {4096u, 4097u, 4163u, 9001u}) lens.push_back(len);
+  return lens;
+}
+
+TEST(Bitstring, SubstrMatchesBitReferenceAtEverySourceOffset) {
+  Rng rng(101);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len : diff_lengths()) {
+      // Source bits before `pos` and after the window, so the copy starts
+      // mid-byte and need not end on the source's last byte.
+      const std::size_t pos = 8 * rng.below(3) + off;
+      const Bitstring src = rng.bits(pos + len + rng.below(20));
+      ASSERT_EQ(src.substr(pos, len), ref_substr(src, pos, len))
+          << "off=" << off << " len=" << len;
+    }
+  }
+}
+
+TEST(Bitstring, SubstrEndingOnTheLastSourceByte) {
+  // The word path reads one source byte past each 64-bit step. Here the
+  // window ends exactly at the end of a tightly allocated source, so an
+  // out-of-bounds lookahead is a heap overflow under AddressSanitizer.
+  Rng rng(102);
+  for (std::size_t off = 1; off < 8; ++off) {
+    for (std::size_t len : {64u, 65u, 71u, 72u, 127u, 128u, 200u, 4096u, 4101u}) {
+      const Bitstring src = rng.bits(off + len);
+      ASSERT_EQ(src.packed().size(), ceil_div(off + len, 8));
+      ASSERT_EQ(src.substr(off, len), ref_substr(src, off, len))
+          << "off=" << off << " len=" << len;
+    }
+  }
+}
+
+TEST(Bitstring, AppendMatchesBitReferenceAtEveryDestinationOffset) {
+  Rng rng(103);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len : diff_lengths()) {
+      const Bitstring head = rng.bits(8 * rng.below(3) + off);
+      const Bitstring tail = rng.bits(len);
+      Bitstring joined = head;
+      joined.append(tail);
+      ASSERT_EQ(joined, ref_concat(head, tail))
+          << "off=" << off << " len=" << len;
+    }
+  }
+}
+
+TEST(Bitstring, MinMaxFillMatchBitReferenceAtEveryPrefixOffset) {
+  Rng rng(104);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len : diff_lengths()) {
+      // A prefix ending at bit offset `off` of its last byte, filled by
+      // `len` bits to an ell that is not a multiple of 8 in general.
+      const Bitstring prefix = rng.bits(8 * rng.below(3) + off);
+      const std::size_t ell = prefix.size() + len;
+      ASSERT_EQ(Bitstring::min_fill(prefix, ell), ref_fill(prefix, ell, false))
+          << "off=" << off << " len=" << len;
+      ASSERT_EQ(Bitstring::max_fill(prefix, ell), ref_fill(prefix, ell, true))
+          << "off=" << off << " len=" << len;
+    }
+  }
+}
+
+TEST(Bitstring, CommonPrefixLenMatchesBitReference) {
+  Rng rng(105);
+  for (std::size_t len : diff_lengths()) {
+    const Bitstring a = rng.bits(len);
+    // b shares a random-length prefix of a, then differs in one bit (or
+    // not at all), and has its own length.
+    Bitstring b = a.prefix(rng.below(len + 1));
+    if (b.size() < len && rng.next_bool()) b.push_back(!a.bit(b.size()));
+    b.append(rng.bits(rng.below(100)));
+    ASSERT_EQ(Bitstring::common_prefix_len(a, b), ref_common_prefix_len(a, b))
+        << "len=" << len;
+    ASSERT_EQ(Bitstring::common_prefix_len(a, a), len);
+  }
+}
+
+// A prefix for `v`: a random-length prefix of v with, half the time, one
+// bit flipped, so that long common prefixes and both sides are frequent.
+Bitstring near_prefix(Rng& rng, const Bitstring& v) {
+  Bitstring p = v.prefix(rng.below(v.size() + 1));
+  if (!p.empty() && rng.next_bool()) {
+    const std::size_t flip = rng.below(p.size());
+    p.set_bit(flip, !p.bit(flip));
+  }
+  return p;
+}
+
+TEST(Bitstring, FirstDivergentBitDecidesTheSideOfTheFills) {
+  // GetOutput's side rule: a value v without PREFIX* lies below
+  // MIN_l(PREFIX*) iff its first bit off PREFIX* is 0, and above
+  // MAX_l(PREFIX*) iff it is 1.
+  Rng rng(106);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const std::size_t ell = 1 + rng.below(iter < 1900 ? 150 : 5000);
+    const Bitstring v = rng.bits(ell);
+    const Bitstring prefix = near_prefix(rng, v);
+    const std::size_t agree = Bitstring::common_prefix_len(v, prefix);
+    const auto vs_min =
+        Bitstring::numeric_compare(v, Bitstring::min_fill(prefix, ell));
+    const auto vs_max =
+        Bitstring::numeric_compare(v, Bitstring::max_fill(prefix, ell));
+    if (agree == prefix.size()) {
+      EXPECT_TRUE(v.has_prefix(prefix));
+      EXPECT_NE(vs_min, std::strong_ordering::less);
+      EXPECT_NE(vs_max, std::strong_ordering::greater);
+    } else {
+      EXPECT_FALSE(v.has_prefix(prefix));
+      const bool below = !v.bit(agree);
+      EXPECT_EQ(vs_min == std::strong_ordering::less, below) << "ell=" << ell;
+      EXPECT_EQ(vs_max == std::strong_ordering::greater, !below)
+          << "ell=" << ell;
+    }
+  }
+}
+
+TEST(Bitstring, FirstDivergentBitOrdersAValueAgainstAPrefix) {
+  // FindPrefix's rule: v's first |PREFIX*| bits compare with PREFIX* as
+  // their first differing bit does.
+  Rng rng(107);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const std::size_t ell = 1 + rng.below(iter < 1900 ? 150 : 5000);
+    const Bitstring v = rng.bits(ell);
+    const Bitstring prefix = near_prefix(rng, v);
+    const std::size_t agree = Bitstring::common_prefix_len(v, prefix);
+    const auto want = Bitstring::numeric_compare(v.prefix(prefix.size()), prefix);
+    if (agree == prefix.size()) {
+      EXPECT_EQ(want, std::strong_ordering::equal);
+    } else {
+      EXPECT_EQ(want, v.bit(agree) ? std::strong_ordering::greater
+                                   : std::strong_ordering::less);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace coca

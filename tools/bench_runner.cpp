@@ -521,7 +521,8 @@ Result run_entry(const Entry& e, int reps, bool trace) {
   cfg.extreme_low = BigInt(0);
   cfg.extreme_high = BigInt(BigNat::pow2(24), false);
 
-  Result out{e};
+  Result out;
+  out.entry = e;
   out.seconds = 1e100;
   for (int rep = 0; rep < reps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
