@@ -20,7 +20,7 @@ bool PhaseKingBinary::run(net::PartyContext& ctx, bool input) const {
   for (int phase = 0; phase <= t; ++phase) {
     // Round 1: universal exchange of v in {0,1}; adopt the unique value
     // received from >= n-t senders, else the sentinel 2.
-    ctx.send_all(Bytes{v});
+    ctx.send_all(net::Payload::inline_of({v}));
     int c[2] = {0, 0};
     for (const auto& e : net::first_per_sender(ctx.advance())) {
       if (e.payload.size() == 1 && e.payload[0] <= 1) ++c[e.payload[0]];
@@ -34,7 +34,7 @@ bool PhaseKingBinary::run(net::PartyContext& ctx, bool input) const {
 
     // Round 2: universal exchange of u in {0,1,2}; m is the most frequent
     // real value (ties to 0), "strong" if it reached n-t occurrences.
-    ctx.send_all(Bytes{u});
+    ctx.send_all(net::Payload::inline_of({u}));
     int d[3] = {0, 0, 0};
     for (const auto& e : net::first_per_sender(ctx.advance())) {
       if (e.payload.size() == 1 && e.payload[0] <= 2) ++d[e.payload[0]];
@@ -44,7 +44,7 @@ bool PhaseKingBinary::run(net::PartyContext& ctx, bool input) const {
 
     // Round 3: the phase king broadcasts its m; non-strong parties adopt it
     // (a missing or malformed king message reads as 0).
-    if (ctx.id() == phase) ctx.send_all(Bytes{m});
+    if (ctx.id() == phase) ctx.send_all(net::Payload::inline_of({m}));
     std::uint8_t king_value = 0;
     for (const auto& e : net::first_per_sender(ctx.advance())) {
       if (e.from == phase && e.payload.size() == 1 && e.payload[0] <= 1) {
@@ -65,8 +65,8 @@ MaybeBytes PhaseKingMultivalued::run(net::PartyContext& ctx,
   for (int phase = 0; phase <= t; ++phase) {
     // Round 1: exchange v; adopt the unique value with >= n-t occurrences.
     ctx.send_all(encode_maybe(v));
-    // Payload-view keys: counting costs refcount bumps, not byte copies,
-    // and the key order is the same lexicographic byte order as before.
+    // Payload keys: counting costs no buffer copies, and the key order is
+    // the same lexicographic byte order as before.
     std::map<net::Payload, int> counts;
     for (const auto& e : net::first_per_sender(ctx.advance())) {
       if (decode_maybe(e.payload)) ++counts[e.payload];

@@ -34,7 +34,7 @@ MaybeBytes TurpinCoan::run(net::PartyContext& ctx,
 
   // Round 2: distribute y (or none). Honest y's can name at most one value,
   // so a value echoed by >= n-t senders certifies near pre-agreement.
-  ctx.send_all(have_y ? y_enc : net::Payload(Bytes{kNoneTag}));
+  ctx.send_all(have_y ? y_enc : net::Payload::inline_of({kNoneTag}));
   std::map<net::Payload, int> echoes;
   for (const auto& e : net::first_per_sender(ctx.advance())) {
     if (decode_maybe(e.payload)) ++echoes[e.payload];

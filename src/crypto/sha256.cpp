@@ -116,19 +116,20 @@ void Sha256::update(std::span<const std::uint8_t> data) {
 }
 
 Digest Sha256::finish() {
-  const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span<const std::uint8_t>(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buf_len_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  // Padding in place: 0x80, zeros up to byte 56 of the last block (after
+  // one extra all-padding block when the length no longer fits), then the
+  // 64-bit big-endian bit length. update() never leaves a full buffer, so
+  // there is always room for the 0x80.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_ + buf_len_, 0, 64 - buf_len_);
+    compress_blocks(buf_, 1);
+    buf_len_ = 0;
   }
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  }
-  update(std::span<const std::uint8_t>(len_be, 8));
-  ensure(buf_len_ == 0, "sha256: unflushed block after padding");
+  std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
+  store_be64(buf_ + 56, total_len_ * 8);
+  compress_blocks(buf_, 1);
+  buf_len_ = 0;
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -1,6 +1,9 @@
 #include "net/payload.h"
 
 #include <atomic>
+#include <cstdint>
+#include <new>
+#include <utility>
 
 namespace coca::net {
 
@@ -52,6 +55,36 @@ void PayloadMetrics::add_wire_copy(std::uint64_t bytes) {
   g_wire_bytes_copied.fetch_add(bytes, std::memory_order_relaxed);
 }
 
+Payload::Payload(Bytes bytes) : inline_{} {
+  require(bytes.size() <= UINT32_MAX, "Payload: message exceeds 4 GiB");
+  len_ = static_cast<std::uint32_t>(bytes.size());
+  if (len_ <= kInline) {
+    std::copy(bytes.begin(), bytes.end(), inline_.begin());
+    return;
+  }
+  new (&heap_) Heap{std::make_shared<Bytes>(std::move(bytes)), 0};
+  shared_ = true;
+}
+
+Payload::Payload(std::shared_ptr<Bytes> buf, std::size_t offset,
+                 std::size_t length)
+    : inline_{} {
+  require(buf && offset + length <= buf->size() && length <= UINT32_MAX,
+          "Payload: slab view out of range");
+  if (length == 0) return;
+  new (&heap_) Heap{std::move(buf), offset};
+  len_ = static_cast<std::uint32_t>(length);
+  shared_ = true;
+}
+
+Payload Payload::inline_of(std::initializer_list<std::uint8_t> bytes) {
+  require(bytes.size() <= kInline, "Payload::inline_of: too many bytes");
+  Payload p;
+  std::copy(bytes.begin(), bytes.end(), p.inline_.begin());
+  p.len_ = static_cast<std::uint32_t>(bytes.size());
+  return p;
+}
+
 Payload Payload::copy_of(const Bytes& bytes) {
   count_copy(bytes.size());
   return Payload(Bytes(bytes));
@@ -59,25 +92,32 @@ Payload Payload::copy_of(const Bytes& bytes) {
 
 Bytes Payload::to_bytes() const {
   count_copy(len_);
-  const auto s = span();
-  return Bytes(s.begin(), s.end());
+  return owned();
 }
 
 Bytes Payload::detach() && {
-  if (!buf_) return Bytes{};
-  if (buf_.use_count() == 1 && off_ == 0 && len_ == buf_->size()) {
-    Bytes out = std::move(*buf_);
-    buf_.reset();
-    len_ = 0;
-    off_ = 0;
+  if (shared_ && heap_.buf.use_count() == 1 && heap_.off == 0 &&
+      len_ == heap_.buf->size()) {
+    Bytes out = std::move(*heap_.buf);
+    clear();
     return out;
   }
-  return to_bytes();  // shared or sliced: copy-on-write (counted)
+  return to_bytes();  // inline, shared or sliced: a copy (counted)
 }
 
-const Bytes& Payload::empty_bytes() {
-  static const Bytes empty;
-  return empty;
+Payload Payload::slice(std::size_t offset, std::size_t length) const {
+  require(offset + length <= len_, "Payload::slice: out of range");
+  Payload p;
+  if (length == 0) return p;
+  if (shared_) {
+    new (&p.heap_) Heap{heap_.buf, heap_.off + offset};
+    p.shared_ = true;
+  } else {
+    std::copy_n(inline_.begin() + static_cast<std::ptrdiff_t>(offset), length,
+                p.inline_.begin());
+  }
+  p.len_ = static_cast<std::uint32_t>(length);
+  return p;
 }
 
 }  // namespace coca::net

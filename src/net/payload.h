@@ -1,16 +1,20 @@
-// Refcounted immutable message payload: the zero-copy wire substrate.
+// Immutable message payload: the zero-copy wire substrate.
 //
-// All simulator wire traffic is carried as `Payload` views: a shared
-// ownership handle onto one immutable byte buffer plus an (offset, length)
-// window. `send_all` stages ONE buffer shared by all n recipients; round
-// mailboxes, the rushing adversary's traffic view, and the Transcript all
-// hold views of that same buffer. Nothing on the honest path ever deep
-// copies message bytes.
+// All simulator wire traffic is carried as `Payload` values. A payload of
+// more than `kInline` bytes is a *shared view*: a shared ownership handle
+// onto one immutable byte buffer plus an (offset, length) window.
+// `send_all` stages ONE buffer shared by all n recipients; round mailboxes,
+// the rushing adversary's traffic view, and the Transcript all hold views
+// of that same buffer. A payload of at most `kInline` bytes -- most
+// protocol messages are a byte or a tagged digest -- is stored *inline* in
+// the 32-byte object itself: no allocation, no refcount. Decoder slab views
+// (the constructor taking a `shared_ptr<Bytes>`) stay shared views at any
+// length. Nothing on the honest path ever deep copies message bytes.
 //
 // Ownership / copy-on-write rules (the substrate's determinism contract is
-// in DESIGN.md "Message substrate"):
+// in DESIGN.md "The message substrate"):
 //   * A `Payload` is immutable through its own API: no accessor hands out a
-//     mutable reference to shared bytes.
+//     mutable reference to its bytes.
 //   * Writers (a `SendTap` mutator corrupting one recipient's copy) call
 //     `detach()`: if the buffer is exclusively owned and the view spans it,
 //     the buffer is moved out for free; otherwise a deep copy is made and
@@ -21,21 +25,37 @@
 //     `RunStats::payload_copies` / `payload_bytes_copied`, so "zero-copy" is
 //     asserted by tests, not assumed.
 //
-// For protocol code the type is span-compatible: every view converts
+// Three contracts of the inline representation:
+//   1. An inline payload's `data()` (and its span) points into the object.
+//      It is valid only while that object is neither moved nor destroyed,
+//      so a gather list over payloads must keep them in place: the wire
+//      session's iovecs point into an unresized vector, the daemon's into
+//      a deque.
+//   2. Creating or copying an inline payload is not a substrate deep copy:
+//      it is not counted, and the honest-path `payload_copies == 0` holds.
+//   3. `detach()` of an inline payload counts one copy, as a shared buffer
+//      does. On the wire, a payload a party received and forwards (an
+//      echoed value) is a shared slab view whose detach is counted; the
+//      simulator holds the same bytes inline, and simulator/wire parity of
+//      `payload_copies` requires the same count.
+//
+// For protocol code the type is span-compatible: every payload converts
 // implicitly to `std::span<const uint8_t>` (free), so `Reader r(e.payload)`
-// and the `decode_*(span)` helpers work on full buffers and on slab slices
-// alike. There is deliberately NO implicit conversion to `const Bytes&`:
-// payloads arriving over the wire are views into pooled receive slabs (see
-// net/buffer_pool.h) with nonzero offsets, and a hidden materialization
-// would silently re-copy the bytes the zero-copy receive path just avoided
-// copying. Code that genuinely needs owning bytes says so: `owned()` for
-// protocol-local adoption (uncounted, like any other protocol-side copy),
-// `to_bytes()`/`detach()` for substrate-metered copies.
+// and the `decode_*(span)` helpers work on full buffers, slab slices and
+// inline bytes alike. There is deliberately NO conversion to `const
+// Bytes&`: an inline payload has no `Bytes`, and payloads arriving over the
+// wire are views into pooled receive slabs (see net/buffer_pool.h) with
+// nonzero offsets. Code that genuinely needs owning bytes says so:
+// `owned()` for protocol-local adoption (uncounted, like any other
+// protocol-side copy), `to_bytes()`/`detach()` for substrate-metered copies.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <new>
 #include <span>
 
 #include "util/common.h"
@@ -66,43 +86,63 @@ struct PayloadMetrics {
 
 class Payload {
  public:
-  /// Empty payload (no buffer).
-  Payload() = default;
+  /// Payloads of at most this many bytes are stored inside the object.
+  static constexpr std::size_t kInline = 24;
 
-  /// Wraps `bytes`, taking ownership: zero-copy when the caller moves.
-  /// Deliberately implicit so rvalue Bytes flow into payload-typed APIs;
-  /// wrapping an *lvalue* copies into the parameter first -- on metered
-  /// paths prefer `Payload::copy_of`, which counts.
-  Payload(Bytes bytes)  // NOLINT(google-explicit-constructor)
-      : buf_(std::make_shared<Bytes>(std::move(bytes))),
-        len_(buf_->size()) {}
+  /// Empty payload (no buffer).
+  Payload() noexcept : inline_{} {}
+
+  /// Takes ownership of `bytes`: up to kInline bytes are copied inline,
+  /// anything larger moves into a fresh shared buffer (zero-copy when the
+  /// caller moves). Deliberately implicit so rvalue Bytes flow into
+  /// payload-typed APIs; wrapping a large *lvalue* copies into the
+  /// parameter first -- on metered paths prefer `Payload::copy_of`, which
+  /// counts.
+  Payload(Bytes bytes);  // NOLINT(google-explicit-constructor)
 
   /// View of `[offset, offset+length)` within an externally shared buffer
   /// -- the decoder's slab-view constructor: the frame payload aliases the
   /// receive slab and the slab returns to its pool when the last view
   /// drops. The window must be in range and the viewed bytes must never be
   /// mutated while any view exists (the decoder's slabs are append-only).
-  Payload(std::shared_ptr<Bytes> buf, std::size_t offset, std::size_t length)
-      : buf_(std::move(buf)), off_(offset), len_(length) {
-    require(buf_ && offset + length <= buf_->size(),
-            "Payload: slab view out of range");
-    if (len_ == 0) buf_.reset();
-  }
+  /// Always a shared view, whatever its length.
+  Payload(std::shared_ptr<Bytes> buf, std::size_t offset, std::size_t length);
 
-  /// Deep-copies `bytes` into a fresh buffer (counted).
+  /// Inline payload of a few literal bytes (at most kInline), built without
+  /// a `Bytes` allocation: `Payload::inline_of({v})`.
+  static Payload inline_of(std::initializer_list<std::uint8_t> bytes);
+
+  /// Deep-copies `bytes` (counted).
   static Payload copy_of(const Bytes& bytes);
+
+  Payload(const Payload& other) noexcept { copy_from(other); }
+  Payload(Payload&& other) noexcept { steal_from(other); }
+  Payload& operator=(const Payload& other) noexcept {
+    if (this != &other) {
+      clear();
+      copy_from(other);
+    }
+    return *this;
+  }
+  Payload& operator=(Payload&& other) noexcept {
+    if (this != &other) {
+      clear();
+      steal_from(other);
+    }
+    return *this;
+  }
+  ~Payload() {
+    if (shared_) heap_.~Heap();
+  }
 
   std::size_t size() const { return len_; }
   bool empty() const { return len_ == 0; }
   const std::uint8_t* data() const {
-    return buf_ ? buf_->data() + off_ : nullptr;
+    return shared_ ? heap_.buf->data() + heap_.off : inline_.data();
   }
-  std::uint8_t operator[](std::size_t i) const { return (*buf_)[off_ + i]; }
+  std::uint8_t operator[](std::size_t i) const { return data()[i]; }
 
-  std::span<const std::uint8_t> span() const {
-    return buf_ ? std::span<const std::uint8_t>(buf_->data() + off_, len_)
-                : std::span<const std::uint8_t>();
-  }
+  std::span<const std::uint8_t> span() const { return {data(), len_}; }
   /// Implicit span view (free): lets payloads flow into `Reader` and the
   /// span-typed `decode_*` helpers whether they are full buffers or slab
   /// slices.
@@ -110,16 +150,6 @@ class Payload {
 
   const std::uint8_t* begin() const { return data(); }
   const std::uint8_t* end() const { return data() + len_; }
-
-  /// The view as a `const Bytes&`, free of charge. Requires a full-buffer
-  /// view; sliced views (wire-path slab views are sliced by construction)
-  /// must go through span(), owned() or to_bytes().
-  const Bytes& bytes() const {
-    if (!buf_) return empty_bytes();
-    ensure(off_ == 0 && len_ == buf_->size(),
-           "Payload::bytes: sliced view has no Bytes representation");
-    return *buf_;
-  }
 
   /// Owned deep copy of the viewed bytes, NOT counted in PayloadMetrics:
   /// for protocol-local adoption of a received value (map keys, stored
@@ -134,22 +164,18 @@ class Payload {
   Bytes to_bytes() const;
 
   /// Takes the bytes out for mutation: moves the buffer when this view is
-  /// the sole owner of a full buffer (free), deep-copies otherwise
-  /// (counted) -- the copy-on-write point for SendTap mutators.
+  /// the sole owner of a full shared buffer (free), deep-copies otherwise
+  /// (counted) -- the copy-on-write point for SendTap mutators. An inline
+  /// payload always counts one copy (contract 3 above).
   Bytes detach() &&;
 
-  /// Sub-view sharing the same buffer; no copy.
-  Payload slice(std::size_t offset, std::size_t length) const {
-    require(offset + length <= len_, "Payload::slice: out of range");
-    Payload p = *this;
-    p.off_ += offset;
-    p.len_ = length;
-    if (p.len_ == 0) p.buf_.reset();
-    return p;
-  }
+  /// Sub-view with no copy of a shared buffer: a slice of a shared view
+  /// shares its buffer, a slice of an inline payload is inline.
+  Payload slice(std::size_t offset, std::size_t length) const;
 
-  /// Number of Payload views sharing this buffer (diagnostics/tests).
-  long use_count() const { return buf_.use_count(); }
+  /// Number of Payload views sharing this buffer; 0 for inline payloads
+  /// (diagnostics/tests).
+  long use_count() const { return shared_ ? heap_.buf.use_count() : 0; }
 
   /// Content equality (byte-wise over the viewed window).
   bool operator==(const Payload& other) const {
@@ -170,11 +196,53 @@ class Payload {
   }
 
  private:
-  static const Bytes& empty_bytes();
+  struct Heap {
+    std::shared_ptr<Bytes> buf;  // immutable-by-discipline, never null
+    std::size_t off;
+  };
 
-  std::shared_ptr<Bytes> buf_;  // immutable-by-discipline shared buffer
-  std::size_t off_ = 0;
-  std::size_t len_ = 0;
+  /// Ends the shared view, if any, leaving an empty inline payload.
+  void clear() noexcept {
+    if (shared_) {
+      heap_.~Heap();
+      shared_ = false;
+      inline_ = {};
+    }
+    len_ = 0;
+  }
+  /// Builds this payload as a copy of `other`, or by taking `other`'s
+  /// buffer (leaving it empty); this payload must hold no buffer.
+  void copy_from(const Payload& other) noexcept {
+    if (other.shared_) {
+      new (&heap_) Heap(other.heap_);
+    } else {
+      inline_ = other.inline_;
+    }
+    len_ = other.len_;
+    shared_ = other.shared_;
+  }
+  void steal_from(Payload& other) noexcept {
+    if (!other.shared_) {
+      copy_from(other);
+      return;
+    }
+    new (&heap_) Heap(std::move(other.heap_));
+    len_ = other.len_;
+    shared_ = true;
+    other.clear();
+  }
+
+  // Exactly one member is live: `heap_` when `shared_`, else `inline_`,
+  // whose kInline bytes are always initialized, so an inline copy is a
+  // fixed-size copy.
+  union {
+    std::array<std::uint8_t, kInline> inline_;
+    Heap heap_;
+  };
+  std::uint32_t len_ = 0;
+  bool shared_ = false;
 };
+
+static_assert(sizeof(Payload) == 32, "Payload must stay 32 bytes");
 
 }  // namespace coca::net

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -145,13 +146,15 @@ std::vector<Envelope> first_per_sender(const std::vector<Envelope>& inbox) {
 
 std::vector<Envelope> first_per_sender(std::vector<Envelope>&& inbox) {
   // Canonicalize by sender id first: engine inboxes already arrive sorted
-  // (this is a no-op there), but a FaultPlan inbox shuffle -- or any other
+  // (then nothing moves), but a FaultPlan inbox shuffle -- or any other
   // delivery-order adversary -- must not change what protocols consume.
   // The stable sort keeps first-delivered-wins within a sender.
-  std::stable_sort(inbox.begin(), inbox.end(),
-                   [](const Envelope& a, const Envelope& b) {
-                     return a.from < b.from;
-                   });
+  const auto by_sender = [](const Envelope& a, const Envelope& b) {
+    return a.from < b.from;
+  };
+  if (!std::is_sorted(inbox.begin(), inbox.end(), by_sender)) {
+    std::stable_sort(inbox.begin(), inbox.end(), by_sender);
+  }
   std::size_t kept = 0;
   int last_from = -1;
   for (Envelope& e : inbox) {
@@ -294,7 +297,9 @@ struct SyncNetwork::Impl {
   // reallocated every round.
   std::vector<Triplet> wire;
   std::vector<Triplet> byz_wire;
-  std::vector<RoundView::Sent> honest_traffic;
+  std::vector<Triplet> wire_by_sender;       // counting-sort target
+  std::vector<std::size_t> sender_start;     // counting-sort offsets
+  std::vector<RoundView::Sent> honest_traffic;  // only with scripted parties
   // party id -> indices into runners / scripted (built once per run);
   // routing one round is O(messages), not O(messages * parties).
   std::vector<std::vector<std::size_t>> runners_of_party;
@@ -420,6 +425,28 @@ struct SyncNetwork::Impl {
     }
   }
 
+  /// Orders `wire` by sender id, stable within a sender, with a counting
+  /// sort into a reused buffer (no per-round allocation). Runner outboxes
+  /// drain in runner-table order, and callers often register runners out
+  /// of id order (Π_ℤ runs install the corrupted parties first): on
+  /// the Π_ℤ benchmark workloads about 70% of rounds drain out of sender
+  /// order (EXPERIMENTS.md T-msg), so there is no sorted-input shortcut.
+  void sort_wire_by_sender() {
+    sender_start.assign(static_cast<std::size_t>(n) + 1, 0);
+    for (const Triplet& m : wire) {
+      ++sender_start[static_cast<std::size_t>(m.from) + 1];
+    }
+    std::partial_sum(sender_start.begin(), sender_start.end(),
+                     sender_start.begin());
+    wire_by_sender.resize(wire.size());
+    for (Triplet& m : wire) {
+      wire_by_sender[sender_start[static_cast<std::size_t>(m.from)]++] =
+          std::move(m);
+    }
+    std::swap(wire, wire_by_sender);
+    wire_by_sender.clear();
+  }
+
   /// Carries the canonically sorted `wire` across the installed
   /// RoundRouter (no-op without one). The transcript and the inboxes
   /// consume the payloads the transport returned, so a daemon that
@@ -476,13 +503,16 @@ struct SyncNetwork::Impl {
     // vanishes before the rushing adversary observes the round and before
     // the transcript records it.
     filter_cut_links(wire, round);
-    honest_traffic.clear();
-    for (const Triplet& m : wire) {
-      honest_traffic.push_back({m.from, m.to, &m.payload});
-    }
     // Scripted byzantine parties act last within the round (rushing).
     // Their sends are staged separately: honest_traffic points into `wire`,
-    // which must stay unmodified while strategies run.
+    // which must stay unmodified while strategies run. Without scripted
+    // parties nobody reads it, so it is not built.
+    honest_traffic.clear();
+    if (!scripted.empty()) {
+      for (const Triplet& m : wire) {
+        honest_traffic.push_back({m.from, m.to, &m.payload});
+      }
+    }
     byz_wire.clear();
     for (auto& s : scripted) {
       // A crashed scripted party sends nothing this round.
@@ -507,10 +537,7 @@ struct SyncNetwork::Impl {
     byz_wire.clear();
 
     // Route, ordered by sender id (stable within a sender).
-    std::stable_sort(wire.begin(), wire.end(),
-                     [](const Triplet& a, const Triplet& b) {
-                       return a.from < b.from;
-                     });
+    sort_wire_by_sender();
     // Transport seam: the merged round leaves the process here. Everything
     // below -- transcript, inboxes -- consumes what came back off the wire.
     if (!route_wire(round)) {
@@ -527,7 +554,8 @@ struct SyncNetwork::Impl {
       transcript->rounds.push_back(std::move(rec));
     }
     // Two-pass routing: count, reserve, fill -- every inbox is one exact
-    // allocation and every delivered payload a view of the sender's buffer.
+    // allocation and every delivered payload a view of the sender's buffer
+    // or an inline copy.
     std::fill(runner_msg_count.begin(), runner_msg_count.end(), 0);
     std::fill(scripted_msg_count.begin(), scripted_msg_count.end(), 0);
     for (const Triplet& m : wire) {
@@ -580,10 +608,7 @@ struct SyncNetwork::Impl {
     drain_outboxes(&leftover_honest_bytes, &leftover_honest_msgs);
     filter_cut_links(wire, round);
     if (wire.empty()) return;
-    std::stable_sort(wire.begin(), wire.end(),
-                     [](const Triplet& a, const Triplet& b) {
-                       return a.from < b.from;
-                     });
+    sort_wire_by_sender();
     Transcript::Round rec;
     rec.honest_bytes = leftover_honest_bytes;
     for (Triplet& m : wire) {

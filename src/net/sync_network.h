@@ -28,8 +28,9 @@
 // without calling advance() hangs the run. `max_rounds` bounds only
 // protocols that keep advancing; it is the engine's termination guard.
 //
-// Wire traffic is carried as refcounted immutable `Payload` views (see
-// net/payload.h): `send_all` stages one buffer shared by all n recipients,
+// Wire traffic is carried as immutable `Payload` values (see
+// net/payload.h): `send_all` stages one buffer shared by all n recipients
+// (a payload of at most `Payload::kInline` bytes is copied inline instead),
 // mailboxes and the Transcript hold views, and `RunStats` reports the
 // number of deep copies the substrate performed -- zero on the honest path.
 //
@@ -121,10 +122,12 @@ struct Transcript {
 /// Protocol steps of the paper implicitly assume one message per sender per
 /// round; duplicates are a byzantine artefact and are ignored
 /// deterministically. The result is canonical regardless of inbox order --
-/// the inbox is stably sorted by sender id first -- so protocols built on
-/// this helper are delivery-order insensitive by construction (which a
-/// FaultPlan inbox shuffle relies on). Copies are payload views (refcount
-/// bumps), never byte copies; the rvalue overload filters in place.
+/// an unsorted inbox is stably sorted by sender id first -- so protocols
+/// built on this helper are delivery-order insensitive by construction
+/// (which a FaultPlan inbox shuffle relies on). The engine delivers inboxes
+/// already sorted, so on them nothing is sorted. Copies are payload views
+/// (refcount bumps or inline copies), never counted copies; the rvalue
+/// overload filters in place.
 std::vector<Envelope> first_per_sender(const std::vector<Envelope>& inbox);
 std::vector<Envelope> first_per_sender(std::vector<Envelope>&& inbox);
 

@@ -1,7 +1,8 @@
-// Tests for the refcounted payload substrate (net/payload.h) and its
-// integration contract with SyncNetwork:
+// Tests for the payload substrate (net/payload.h) and its integration
+// contract with SyncNetwork:
 //   * Payload view semantics: wrap, slice, detach (steal vs copy-on-write),
-//     equality, and the PayloadMetrics copy accounting.
+//     equality, and the PayloadMetrics copy accounting -- for inline
+//     payloads (at most kInline bytes) and shared views alike.
 //   * Honest-path zero-copy: an all-honest broadcast run performs no deep
 //     payload copies at all (RunStats::payload_copies == 0).
 //   * COW aliasing: a SendTap that corrupts one recipient's payload must not
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -90,21 +92,6 @@ TEST(Payload, SliceIsAViewOfTheSameBuffer) {
   EXPECT_THROW(p.slice(20, 16), Error);
 }
 
-TEST(Payload, BytesViewIsFreeForFullBufferViews) {
-  const MetricsSample before;
-  Payload p(make_bytes(24, 3));
-  const Bytes& view = p.bytes();
-  EXPECT_EQ(view.data(), p.data());
-  EXPECT_EQ(before.copies_since(), 0u);
-  // Sliced views have no Bytes representation; to_bytes makes a counted copy.
-  Payload s = p.slice(0, 8);
-  EXPECT_THROW((void)s.bytes(), std::logic_error);
-  const Bytes owned = s.to_bytes();
-  EXPECT_EQ(owned, make_bytes(8, 3));
-  EXPECT_EQ(before.copies_since(), 1u);
-  EXPECT_EQ(before.bytes_since(), 8u);
-}
-
 TEST(Payload, DetachStealsWhenSoleOwner) {
   const MetricsSample before;
   Payload p(make_bytes(48, 9));
@@ -135,6 +122,133 @@ TEST(Payload, EqualityIsContentOverTheViewedWindow) {
   Bytes whole = make_bytes(16, 5);
   Payload s = p.slice(4, 8);
   EXPECT_EQ(s, Bytes(whole.begin() + 4, whole.begin() + 12));
+}
+
+/// The same bytes as an owning payload (inline up to kInline bytes) and as
+/// a slab view, which is a shared view at any length.
+Payload shared_view_of(const Bytes& b) {
+  return Payload(std::make_shared<Bytes>(b), 0, b.size());
+}
+
+/// Byte strings of 23, 24 and 25 bytes -- both sides of the inline limit --
+/// that differ in the first byte, the last byte, or only in length.
+std::vector<Bytes> around_the_inline_limit() {
+  std::vector<Bytes> out;
+  for (const std::size_t size : {23, 24, 25}) {
+    for (const std::uint8_t start : {0, 1}) {
+      Bytes b = make_bytes(size, start);
+      out.push_back(b);
+      b.back() ^= 0x80;
+      out.push_back(b);
+    }
+  }
+  return out;
+}
+
+TEST(Payload, SmallPayloadsAreInlineAndLargeOnesShared) {
+  static_assert(Payload::kInline == 24);
+  for (const Bytes& b : around_the_inline_limit()) {
+    const MetricsSample before;
+    const Payload owned{Bytes(b)};
+    EXPECT_EQ(owned.use_count(), b.size() <= Payload::kInline ? 0 : 1);
+    EXPECT_EQ(shared_view_of(b).use_count(), 1);  // slab views stay shared
+    EXPECT_EQ(owned, b);
+    EXPECT_EQ(before.copies_since(), 0u);  // contract 2: inline is no copy
+  }
+  const Payload one = Payload::inline_of({7});
+  EXPECT_EQ(one, Bytes{7});
+  EXPECT_EQ(one.use_count(), 0);
+  EXPECT_TRUE(Payload().empty());
+}
+
+TEST(Payload, InlineAndSharedCompareLikeBytes) {
+  std::vector<Payload> both;
+  for (const Bytes& b : around_the_inline_limit()) {
+    both.emplace_back(Bytes(b));
+    both.push_back(shared_view_of(b));
+  }
+  for (const Payload& p : both) {
+    for (const Payload& q : both) {
+      const Bytes a = p.owned();
+      const Bytes b = q.owned();
+      EXPECT_EQ(p == q, a == b);
+      EXPECT_EQ(p < q, BytesLess{}(a, b));
+    }
+  }
+  // A payload-keyed map iterates in Bytes order whatever the representation.
+  std::map<Payload, int> by_payload;
+  std::map<Bytes, int, BytesLess> by_bytes;
+  for (std::size_t i = 0; i < both.size(); ++i) {
+    ++by_payload[both[i]];
+    ++by_bytes[both[i].owned()];
+  }
+  ASSERT_EQ(by_payload.size(), by_bytes.size());
+  auto it = by_bytes.begin();
+  for (const auto& [key, count] : by_payload) {
+    EXPECT_EQ(key, it->first);
+    EXPECT_EQ(count, 2);  // the inline and the shared copy of one value
+    ++it;
+  }
+}
+
+TEST(Payload, SliceWorksOnBothRepresentations) {
+  for (const Bytes& b : around_the_inline_limit()) {
+    const Bytes middle(b.begin() + 1, b.end() - 1);
+    Payload inline_or_shared{Bytes(b)};
+    const Payload shared = shared_view_of(b);
+    const MetricsSample before;
+    const Payload s = shared.slice(1, b.size() - 2);
+    EXPECT_EQ(s, middle);
+    EXPECT_EQ(s.data(), shared.data() + 1);  // same buffer
+    const Payload t = inline_or_shared.slice(1, b.size() - 2);
+    EXPECT_EQ(t, middle);
+    EXPECT_EQ(t.use_count(), inline_or_shared.use_count() == 0 ? 0 : 2);
+    inline_or_shared = Payload();  // an inline slice owns its bytes
+    EXPECT_EQ(t, middle);
+    EXPECT_TRUE(shared.slice(3, 0).empty());
+    EXPECT_EQ(before.copies_since(), 0u);
+    // A counted copy of a slice copies its window only.
+    EXPECT_EQ(s.to_bytes(), middle);
+    EXPECT_EQ(before.copies_since(), 1u);
+    EXPECT_EQ(before.bytes_since(), middle.size());
+  }
+}
+
+// Contract 3: an inline payload has no buffer to hand over, so detach()
+// counts one copy -- as a shared or sliced view does -- which keeps the
+// simulator's payload_copies equal to the wire's, where the same small
+// payload arrives as a shared slab view.
+TEST(Payload, DetachOfInlineCountsOneCopy) {
+  for (const std::size_t size : {1, 23, 24}) {
+    Payload p(make_bytes(size, 3));
+    ASSERT_EQ(p.use_count(), 0);
+    const MetricsSample before;
+    const Bytes out = std::move(p).detach();
+    EXPECT_EQ(out, make_bytes(size, 3));
+    EXPECT_EQ(before.copies_since(), 1u);
+    EXPECT_EQ(before.bytes_since(), size);
+  }
+  Payload large(make_bytes(25, 3));  // sole owner of a full buffer: free
+  const MetricsSample before;
+  (void)std::move(large).detach();
+  EXPECT_EQ(before.copies_since(), 0u);
+}
+
+TEST(Payload, CopiesAndMovesKeepTheBytes) {
+  for (const Bytes& b : around_the_inline_limit()) {
+    Payload p{Bytes(b)};
+    Payload copy = p;
+    Payload moved = std::move(p);
+    EXPECT_EQ(copy, b);
+    EXPECT_EQ(moved, b);
+    copy = moved;
+    EXPECT_EQ(copy, b);
+    Payload other = Payload::inline_of({1, 2});
+    other = std::move(copy);
+    EXPECT_EQ(other, b);
+    other = Payload::inline_of({9});
+    EXPECT_EQ(other, Bytes{9});
+  }
 }
 
 TEST(Payload, FirstPerSenderNeverCopiesBytes) {
@@ -177,6 +291,37 @@ TEST(PayloadNetwork, HonestBroadcastIsZeroCopy) {
   }
   const RunStats stats = net.run();
   EXPECT_EQ(stats.rounds, static_cast<std::size_t>(rounds));
+  EXPECT_EQ(stats.payload_copies, 0u);
+  EXPECT_EQ(stats.payload_bytes_copied, 0u);
+}
+
+// The Phase-King shape: every party broadcasts one byte per round, built
+// inline with no Bytes allocation or as a 1-byte Bytes. Inline payloads are
+// copied into every mailbox and the transcript, and none of that counts.
+TEST(PayloadNetwork, HonestOneByteBroadcastIsZeroCopy) {
+  const int n = 7;
+  const int rounds = 6;
+  SyncNetwork net(n, 2);
+  for (int i = 0; i < n; ++i) {
+    net.set_honest(i, [](PartyContext& ctx) {
+      for (int r = 0; r < rounds; ++r) {
+        const auto v = static_cast<std::uint8_t>(ctx.id() + r);
+        if (r % 2 == 0) {
+          ctx.send_all(Payload::inline_of({v}));
+        } else {
+          ctx.send_all(Bytes{v});
+        }
+        for (const Envelope& e : first_per_sender(ctx.advance())) {
+          ASSERT_EQ(e.payload, Bytes{static_cast<std::uint8_t>(e.from + r)});
+        }
+      }
+    });
+  }
+  Transcript transcript;
+  net.set_transcript(&transcript);
+  const RunStats stats = net.run();
+  EXPECT_EQ(stats.rounds, static_cast<std::size_t>(rounds));
+  EXPECT_EQ(stats.honest_bytes, static_cast<std::uint64_t>(n * n * rounds));
   EXPECT_EQ(stats.payload_copies, 0u);
   EXPECT_EQ(stats.payload_bytes_copied, 0u);
 }

@@ -51,6 +51,31 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+// finish() pads in one step; feeding the same bytes one update() at a time
+// must give the same digest at every length, across both padding branches
+// (room for the length in the last block, or one extra block).
+TEST(Sha256, PaddingMatchesByteAtATimeAtEveryLength) {
+  Bytes data(200);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  Sha256 all;
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const std::span<const std::uint8_t> msg(data.data(), len);
+    Sha256 bytewise;
+    for (const std::uint8_t b : msg) {
+      bytewise.update(std::span<const std::uint8_t>(&b, 1));
+    }
+    const Digest d = sha256(msg);
+    EXPECT_EQ(bytewise.finish(), d) << "len=" << len;
+    all.update(std::span<const std::uint8_t>(d.data(), d.size()));
+  }
+  // Digest of the 201 digests above, pinned to the value of the earlier
+  // finish() that padded through update() one byte at a time.
+  EXPECT_EQ(to_hex(all.finish()),
+            "f9be27f65ce096e9153691cee0f5949b0e477b1afb72e8fa01644e3860e834c5");
+}
+
 TEST(Sha256, ResetReusesContext) {
   Sha256 ctx;
   ctx.update(ascii("abc"));

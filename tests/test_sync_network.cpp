@@ -237,6 +237,111 @@ TEST(SyncNetwork, FirstPerSenderDeduplicates) {
   EXPECT_EQ(dedup[2].payload, Bytes{4});
 }
 
+TEST(SyncNetwork, FirstPerSenderFiltersASortedInboxInPlace) {
+  std::vector<Envelope> inbox{{0, Bytes{1}}, {1, Bytes{2}}, {1, Bytes{3}},
+                              {3, Bytes{4}}};
+  const Envelope* data = inbox.data();
+  const std::size_t capacity = inbox.capacity();
+  const std::vector<Envelope> kept = first_per_sender(std::move(inbox));
+  EXPECT_EQ(kept.data(), data);  // nothing sorted into or reallocated
+  EXPECT_EQ(kept.capacity(), capacity);
+  ASSERT_EQ(kept.size(), 3u);
+  EXPECT_EQ(kept[1].payload, Bytes{2});
+  EXPECT_EQ(kept[2].from, 3);
+}
+
+TEST(SyncNetwork, FirstPerSenderOnAShuffledInboxKeepsFirstDelivered) {
+  // The order a FaultPlan shuffle can leave: senders out of order, and a
+  // sender's later message ahead of another sender's first.
+  const std::vector<Envelope> inbox{{2, Bytes{20}}, {0, Bytes{1}},
+                                    {2, Bytes{21}}, {1, Bytes{10}},
+                                    {0, Bytes{2}},  {1, Bytes{11}}};
+  const std::vector<Envelope> kept = first_per_sender(inbox);
+  ASSERT_EQ(kept.size(), 3u);
+  for (int from = 0; from < 3; ++from) {
+    EXPECT_EQ(kept[static_cast<std::size_t>(from)].from, from);
+    EXPECT_EQ(kept[static_cast<std::size_t>(from)].payload,
+              Bytes{static_cast<std::uint8_t>(from * 10 + (from == 0))});
+  }
+}
+
+// Runner outboxes drain in runner-table order. Registering runners in
+// reverse party-id order (and a scripted party with the lowest id) leaves
+// every round's drained wire out of sender order, as Π_ℤ runs do;
+// after the counting sort the transcript must still be in sender order,
+// each sender's messages in send order, exactly as for an in-order
+// registration.
+TEST(SyncNetwork, OutOfOrderRegistrationDeliversTheSameTranscript) {
+  constexpr int kN = 5;
+  constexpr int kRounds = 3;
+  // Each round every honest party sends two tagged messages to everyone.
+  const auto protocol = [](PartyContext& ctx) {
+    for (int r = 0; r < kRounds; ++r) {
+      for (int to = 0; to < ctx.n(); ++to) {
+        for (std::uint8_t k = 0; k < 2; ++k) {
+          ctx.send(to, Bytes{static_cast<std::uint8_t>(ctx.id()),
+                             static_cast<std::uint8_t>(r), k});
+        }
+      }
+      (void)ctx.advance();
+    }
+  };
+  const auto transcript_of = [&](bool reverse, bool scripted_zero) {
+    SyncNetwork net(kN, 1);
+    Transcript transcript;
+    net.set_transcript(&transcript);
+    for (int i = 0; i < kN; ++i) {
+      const int id = reverse ? kN - 1 - i : i;
+      if (scripted_zero && id == 0) {
+        net.set_byzantine(id, std::make_shared<adv::Garbage>());
+      } else {
+        net.set_honest(id, protocol);
+      }
+    }
+    (void)net.run();
+    return transcript;
+  };
+  const Transcript in_order = transcript_of(false, false);
+  EXPECT_EQ(transcript_of(true, false), in_order);
+  // The expected order, built by hand.
+  ASSERT_EQ(in_order.rounds.size(), static_cast<std::size_t>(kRounds));
+  for (std::size_t r = 0; r < in_order.rounds.size(); ++r) {
+    const auto& messages = in_order.rounds[r].messages;
+    ASSERT_EQ(messages.size(), static_cast<std::size_t>(kN * kN * 2));
+    std::size_t i = 0;
+    for (int from = 0; from < kN; ++from) {
+      for (int to = 0; to < kN; ++to) {
+        for (std::uint8_t k = 0; k < 2; ++k, ++i) {
+          EXPECT_EQ(messages[i].from, from);
+          EXPECT_EQ(messages[i].to, to);
+          EXPECT_EQ(messages[i].payload,
+                    (Bytes{static_cast<std::uint8_t>(from),
+                           static_cast<std::uint8_t>(r), k}));
+        }
+      }
+    }
+  }
+  // With a scripted party 0 (its traffic appended after every runner's),
+  // the honest traffic keeps that order behind party 0's messages.
+  const Transcript with_scripted = transcript_of(true, true);
+  ASSERT_EQ(with_scripted.rounds.size(), in_order.rounds.size());
+  for (std::size_t r = 0; r < in_order.rounds.size(); ++r) {
+    std::vector<Transcript::Msg> honest;
+    for (const Transcript::Msg& m : with_scripted.rounds[r].messages) {
+      if (m.from != 0) {
+        honest.push_back(m);
+      } else {
+        EXPECT_TRUE(honest.empty()) << "party 0 delivered after another";
+      }
+    }
+    std::vector<Transcript::Msg> expected;
+    for (const Transcript::Msg& m : in_order.rounds[r].messages) {
+      if (m.from != 0) expected.push_back(m);
+    }
+    EXPECT_EQ(honest, expected);
+  }
+}
+
 TEST(SyncNetwork, DeterministicAcrossRuns) {
   const auto execute = [] {
     auto run = test::run_parties<std::uint64_t>(
