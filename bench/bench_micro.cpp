@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for every substrate: SHA-256, Merkle
-// build/verify, Reed-Solomon encode/decode, Bitstring/BigNat kernels, and
-// the BA building blocks on the simulator.
+// build/verify, Reed-Solomon encode/decode, Bitstring/BigNat kernels, the
+// round engine's per-slice cost, and the BA building blocks on the
+// simulator.
 #include <benchmark/benchmark.h>
 
 #include "ba/long_ba_plus.h"
@@ -184,8 +185,30 @@ void BM_WideFromBits(benchmark::State& state) {
 }
 BENCHMARK(BM_WideFromBits)->Unit(benchmark::kMicrosecond);
 
-// Whole-protocol building blocks on the simulator (measures wall time of a
-// full lock-step run including threading overhead).
+// The round engine's fixed cost: n parties that only call advance(), so a
+// slice is two fiber switches plus the controller's per-round share.
+// per_slice = wall time / (n * rounds), fiber-stack setup included.
+void BM_EngineSlice(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  constexpr int kRounds = 1000;
+  for (auto _ : state) {
+    net::SyncNetwork net(n, (n - 1) / 3);
+    for (int id = 0; id < n; ++id) {
+      net.set_honest(id, [](net::PartyContext& ctx) {
+        for (int r = 0; r < kRounds; ++r) (void)ctx.advance();
+      });
+    }
+    benchmark::DoNotOptimize(net.run());
+  }
+  state.counters["per_slice"] = benchmark::Counter(
+      static_cast<double>(n) * kRounds,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineSlice)->Arg(4)->Arg(31)->Unit(benchmark::kMicrosecond);
+
+// Whole-protocol building blocks on the simulator (wall time of a full
+// lock-step run, fiber switches included).
 void BM_PhaseKingBinary(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int t = (n - 1) / 3;

@@ -1,7 +1,9 @@
 #include "net/sync_network.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <exception>
+#include <new>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -9,8 +11,16 @@
 #include "obs/obs.h"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
+
+#ifndef __x86_64__
+#error "the fiber engine is x86-64 only; port src/net/fiber_switch_x86_64.S"
+#endif
+
+// src/net/fiber_switch_x86_64.S. coca_fiber_entry is never called: its
+// address is the return slot of a fresh fiber's first frame (init_fiber).
+extern "C" void coca_fiber_switch(void** from_sp, void* to_sp);
+extern "C" void coca_fiber_entry();
 
 // Sanitizer builds annotate every fiber switch (see switch_fiber below) so
 // ASan tracks which stack is live and TSan sees each party as its own
@@ -80,7 +90,10 @@ class FiberStack {
     base_ = ::mmap(nullptr, kSize + page_, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
     ensure(base_ != MAP_FAILED, "fiber stack mmap failed");
-    ::mprotect(base_, page_, PROT_NONE);
+    if (::mprotect(base_, page_, PROT_NONE) != 0) {
+      ::munmap(base_, kSize + page_);
+      ensure(false, "fiber stack guard page mprotect failed");
+    }
   }
   ~FiberStack() { ::munmap(base_, kSize + page_); }
   FiberStack(const FiberStack&) = delete;
@@ -95,10 +108,10 @@ class FiberStack {
 };
 
 /// One execution context the controller or a runner can switch to: the
-/// saved registers plus what the sanitizers need to know about the stack
-/// it runs on. Outside sanitizer builds it is just the ucontext.
+/// saved stack pointer plus what the sanitizers need to know about the
+/// stack it runs on. Outside sanitizer builds it is just the stack pointer.
 struct Fiber {
-  ucontext_t ctx = {};
+  void* sp = nullptr;  // top of the frame coca_fiber_switch pushed
 #if COCA_ASAN
   const void* stack_bottom = nullptr;  // learned on first entry for the
   std::size_t stack_size = 0;          // controller; the mmap for runners
@@ -121,10 +134,41 @@ inline void switch_fiber(Fiber& from, Fiber& to, bool from_exits = false) {
   __tsan_switch_to_fiber(to.tsan, 0);
 #endif
   (void)from_exits;
-  swapcontext(&from.ctx, &to.ctx);
+  coca_fiber_switch(&from.sp, to.sp);
 #if COCA_ASAN
   __sanitizer_finish_switch_fiber(from.fake_stack, nullptr, nullptr);
 #endif
+}
+
+/// The frame coca_fiber_switch pushes, lowest address first. A fresh
+/// fiber's stack starts with one, so its first switch-in "returns" into
+/// coca_fiber_entry, which calls r13(r12) on a 16-aligned stack.
+struct SwitchFrame {
+  std::uint32_t mxcsr;
+  std::uint16_t x87_cw;
+  std::uint16_t pad;
+  std::uintptr_t r15, r14, r13, r12, rbx, rbp;
+  void (*ret)();
+};
+static_assert(sizeof(SwitchFrame) == 64, "keep in step with the .S file");
+
+/// Writes a fresh fiber's first frame at the 16-aligned top of its stack:
+/// r13 = `entry`, r12 = `arg`, rbp = 0 (ends frame-pointer walks), and the
+/// caller's FP control state, so a party starts in the controller's
+/// rounding mode.
+void init_fiber(Fiber& f, void* stack_lo, std::size_t size,
+                void (*entry)(void*), void* arg) {
+  const std::uintptr_t top =
+      (reinterpret_cast<std::uintptr_t>(stack_lo) + size) &
+      ~std::uintptr_t{15};
+  auto* frame = new (reinterpret_cast<void*>(top - sizeof(SwitchFrame)))
+      SwitchFrame{};
+  __asm__ volatile("stmxcsr %0\n\tfnstcw %1"
+                   : "=m"(frame->mxcsr), "=m"(frame->x87_cw));
+  frame->r13 = reinterpret_cast<std::uintptr_t>(entry);
+  frame->r12 = reinterpret_cast<std::uintptr_t>(arg);
+  frame->ret = &coca_fiber_entry;
+  f.sp = frame;
 }
 
 /// First statement of a fresh fiber: completes the switch that entered it
@@ -245,10 +289,10 @@ struct SyncNetwork::Runner {
   int obs_track = -1;        // phase + kernel spans, send charges
   int obs_slice_track = -1;  // one span per executed round slice
 
-  /// makecontext entry point: runs the protocol function inside the fiber
-  /// and swaps back to the controller when it finishes (or unwinds).
-  /// makecontext only passes ints, so the Runner pointer travels as halves.
-  static void fiber_trampoline(unsigned hi, unsigned lo);
+  /// Fiber entry point (`arg` is the Runner): runs the protocol function
+  /// inside the fiber and switches back to the controller for good when it
+  /// finishes (or unwinds).
+  static void fiber_trampoline(void* arg);
 };
 
 struct SyncNetwork::Scripted {
@@ -621,9 +665,8 @@ struct SyncNetwork::Impl {
   int t_for_views = 0;  // network t, for RoundView
 };
 
-void SyncNetwork::Runner::fiber_trampoline(unsigned hi, unsigned lo) {
-  auto* r = reinterpret_cast<Runner*>((static_cast<std::uintptr_t>(hi) << 32) |
-                                      static_cast<std::uintptr_t>(lo));
+void SyncNetwork::Runner::fiber_trampoline(void* arg) {
+  auto* r = static_cast<Runner*>(arg);
   enter_fiber(r->impl->controller);
   try {
     r->state = State::Running;
@@ -973,10 +1016,8 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
     Runner& r = *rp;
     r.impl = &im;
     r.fiber_stack = std::make_unique<FiberStack>();
-    getcontext(&r.fiber.ctx);
-    r.fiber.ctx.uc_stack.ss_sp = r.fiber_stack->sp();
-    r.fiber.ctx.uc_stack.ss_size = r.fiber_stack->size();
-    r.fiber.ctx.uc_link = &im.controller.ctx;
+    init_fiber(r.fiber, r.fiber_stack->sp(), r.fiber_stack->size(),
+               &Runner::fiber_trampoline, &r);
 #if COCA_ASAN
     r.fiber.stack_bottom = r.fiber_stack->sp();
     r.fiber.stack_size = r.fiber_stack->size();
@@ -984,11 +1025,6 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
 #if COCA_TSAN
     r.fiber.tsan = __tsan_create_fiber(0);
 #endif
-    const auto ptr = reinterpret_cast<std::uintptr_t>(&r);
-    makecontext(&r.fiber.ctx,
-                reinterpret_cast<void (*)()>(&Runner::fiber_trampoline), 2,
-                static_cast<unsigned>(ptr >> 32),
-                static_cast<unsigned>(ptr & 0xFFFFFFFFu));
   }
   for (;;) {
     im.current_round = rounds;

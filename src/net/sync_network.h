@@ -11,8 +11,9 @@
 // `PartyContext::advance()` is the round barrier. This lets the
 // implementation mirror the paper's pseudocode one statement at a time.
 //
-// Every party runs as a cooperative ucontext fiber on the thread that
-// called run(): a release from the barrier is one user-space stack swap,
+// Every party runs as a cooperative fiber on the thread that called run():
+// a release from the barrier is one user-space stack switch (x86-64
+// assembly in net/fiber_switch_x86_64.S; no system call, no signal mask),
 // and no locks are taken anywhere. Within a round the controller resumes
 // parties in canonical runner-table order. Each party stages sends into a
 // runner-local outbox and draws from a per-party RNG stream split off the

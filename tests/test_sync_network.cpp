@@ -2,7 +2,9 @@
 // rushing byzantine strategies, split-brain equivocation.
 #include "net/sync_network.h"
 
+#include <cfenv>
 #include <csignal>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -452,6 +454,134 @@ TEST(SyncNetworkDeathTest, StackOverflowDiesOnTheGuardPage) {
   // descent with SIGSEGV before it reaches a neighbour's stack.
   EXPECT_EXIT(run_with_one_overflowing_party(),
               ::testing::KilledBySignal(SIGSEGV), "");
+}
+
+// ---- The fiber switch: what a party's stack and registers look like
+// across advance().
+
+TEST(SyncNetworkFiber, ProtocolFramesAre16ByteAligned) {
+  // The System V ABI requires rsp + 8 to be 16-aligned at every function
+  // entry, so a frame pointer (rbp after the prologue) is 16-aligned. A
+  // fiber's first frame that broke this would misalign every SSE spill.
+  auto run = test::run_parties<bool>(5, 0, [](PartyContext& ctx, int) {
+    bool aligned = true;
+    for (int r = 0; r < 3; ++r) {
+      const auto fp = reinterpret_cast<std::uintptr_t>(
+          __builtin_frame_address(0));
+      aligned = aligned && fp % 16 == 0;
+      (void)ctx.advance();
+    }
+    return aligned;
+  });
+  for (const auto& out : run.outputs) EXPECT_TRUE(*out);
+}
+
+// 1/3 rounds down to nearest and up under FE_UPWARD, so the SSE quotient
+// shows which rounding mode MXCSR holds; fegetround reads the x87 control
+// word. Volatile operands keep the compiler from folding the division.
+struct RoundingSeen {
+  int mode;
+  double third;
+};
+RoundingSeen rounding_seen() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return {std::fegetround(), one / three};
+}
+
+/// Records the controller's rounding state each round it runs in.
+class RoundingProbe : public ByzantineStrategy {
+ public:
+  explicit RoundingProbe(std::vector<RoundingSeen>* seen) : seen_(seen) {}
+  void on_round(const RoundView&,
+                const std::function<void(int, Bytes)>&) override {
+    seen_->push_back(rounding_seen());
+  }
+
+ private:
+  std::vector<RoundingSeen>* seen_;
+};
+
+TEST(SyncNetworkFiber, FloatingPointControlStateIsPerFiber) {
+  const RoundingSeen nearest = rounding_seen();
+  ASSERT_EQ(nearest.mode, FE_TONEAREST);
+  std::fesetround(FE_UPWARD);
+  const RoundingSeen upward = rounding_seen();
+  std::fesetround(FE_TONEAREST);
+  ASSERT_GT(upward.third, nearest.third);
+
+  const int kRounds = 4;
+  std::vector<RoundingSeen> controller_seen;
+  auto run = test::run_parties<bool>(
+      4, 1,
+      [&](PartyContext& ctx, int id) {
+        if (id == 0) std::fesetround(FE_UPWARD);
+        const RoundingSeen want = id == 0 ? upward : nearest;
+        bool kept = true;
+        for (int r = 0; r < kRounds; ++r) {
+          (void)ctx.advance();
+          const RoundingSeen got = rounding_seen();
+          kept = kept && got.mode == want.mode && got.third == want.third;
+        }
+        return kept;
+      },
+      {3},
+      [&](int) { return std::make_shared<RoundingProbe>(&controller_seen); });
+  for (int id = 0; id < 3; ++id) {
+    EXPECT_TRUE(*run.outputs[static_cast<std::size_t>(id)]) << "party " << id;
+  }
+  ASSERT_FALSE(controller_seen.empty());
+  for (const RoundingSeen& got : controller_seen) {
+    EXPECT_EQ(got.mode, FE_TONEAREST);
+    EXPECT_EQ(got.third, nearest.third);
+  }
+  const RoundingSeen after = rounding_seen();
+  EXPECT_EQ(after.mode, FE_TONEAREST);
+  EXPECT_EQ(after.third, nearest.third);
+}
+
+/// splitmix64 finalizer: per-party values the compiler cannot fold.
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+/// Hides `v`'s origin from the optimizer (so it cannot fold the final
+/// check) and makes it live in a register at this point.
+void opaque(std::uint64_t& v) { __asm__ volatile("" : "+r"(v)); }
+
+TEST(SyncNetworkFiber, TwelveLocalsSurviveAHundredSwitches) {
+  // More live values than there are callee-saved registers (rbx, rbp,
+  // r12-r15), updated between switches: every one of them must come back
+  // unchanged from each switch, whether it lives in a register or a spill.
+  auto run = test::run_parties<bool>(4, 0, [](PartyContext& ctx, int id) {
+    const std::uint64_t s = mix64(static_cast<std::uint64_t>(id));
+    std::uint64_t v0 = mix64(s + 0), v1 = mix64(s + 1), v2 = mix64(s + 2);
+    std::uint64_t v3 = mix64(s + 3), v4 = mix64(s + 4), v5 = mix64(s + 5);
+    std::uint64_t v6 = mix64(s + 6), v7 = mix64(s + 7), v8 = mix64(s + 8);
+    std::uint64_t v9 = mix64(s + 9), v10 = mix64(s + 10),
+                  v11 = mix64(s + 11);
+    for (std::uint64_t i = 0; i < 100; ++i) {
+      (void)ctx.advance();
+      opaque(v0), opaque(v1), opaque(v2), opaque(v3), opaque(v4), opaque(v5);
+      opaque(v6), opaque(v7), opaque(v8), opaque(v9), opaque(v10), opaque(v11);
+      v0 += i, v1 += 2 * i, v2 += 3 * i, v3 += 4 * i, v4 += 5 * i;
+      v5 += 6 * i, v6 += 7 * i, v7 += 8 * i, v8 += 9 * i, v9 += 10 * i;
+      v10 += 11 * i, v11 += 12 * i;
+    }
+    const std::uint64_t sum = 4950;  // 0 + 1 + ... + 99
+    return v0 == mix64(s + 0) + 1 * sum && v1 == mix64(s + 1) + 2 * sum &&
+           v2 == mix64(s + 2) + 3 * sum && v3 == mix64(s + 3) + 4 * sum &&
+           v4 == mix64(s + 4) + 5 * sum && v5 == mix64(s + 5) + 6 * sum &&
+           v6 == mix64(s + 6) + 7 * sum && v7 == mix64(s + 7) + 8 * sum &&
+           v8 == mix64(s + 8) + 9 * sum && v9 == mix64(s + 9) + 10 * sum &&
+           v10 == mix64(s + 10) + 11 * sum &&
+           v11 == mix64(s + 11) + 12 * sum;
+  });
+  EXPECT_EQ(run.stats.rounds, 100u);
+  for (const auto& out : run.outputs) EXPECT_TRUE(*out);
 }
 
 // ---- Phase meter semantics. Each test pins both public views in full
