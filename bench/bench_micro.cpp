@@ -207,6 +207,26 @@ void BM_EngineSlice(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSlice)->Arg(4)->Arg(31)->Unit(benchmark::kMicrosecond);
 
+// The round engine's per-run fixed cost: n parties that return without
+// advancing, so a run is building and tearing down its runners (fiber
+// stack, first frame, one switch in and out each) and nothing else.
+// per_runner = wall time / n.
+void BM_EngineRunSetup(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    net::SyncNetwork net(n, (n - 1) / 3);
+    for (int id = 0; id < n; ++id) {
+      net.set_honest(id, [](net::PartyContext&) {});
+    }
+    benchmark::DoNotOptimize(net.run());
+  }
+  state.counters["per_runner"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kIsIterationInvariantRate |
+                                  benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineRunSetup)->Arg(4)->Arg(7)->Arg(31)->Unit(
+    benchmark::kMicrosecond);
+
 // Whole-protocol building blocks on the simulator (wall time of a full
 // lock-step run, fiber switches included).
 void BM_PhaseKingBinary(benchmark::State& state) {

@@ -48,6 +48,7 @@ extern "C" void coca_fiber_entry();
 #endif
 
 #if COCA_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if COCA_TSAN
@@ -106,6 +107,24 @@ class FiberStack {
   void* base_ = nullptr;
   std::size_t page_ = 0;
 };
+
+/// This thread's released fiber stacks, reused by its next runs: a stack is
+/// mapped and guarded once and unmapped when the thread exits. Stacks never
+/// move between threads, so the list takes no lock, and it never holds more
+/// stacks than the thread's peak number of live runners.
+thread_local std::vector<std::unique_ptr<FiberStack>> t_free_stacks;
+
+std::unique_ptr<FiberStack> take_stack() {
+  if (t_free_stacks.empty()) return std::make_unique<FiberStack>();
+  std::unique_ptr<FiberStack> stack = std::move(t_free_stacks.back());
+  t_free_stacks.pop_back();
+#if COCA_ASAN
+  // Frames the last fiber abandoned (in an unwind, or at its final
+  // switch-out) can leave redzones poisoned; the next fiber starts clean.
+  __asan_unpoison_memory_region(stack->sp(), stack->size());
+#endif
+  return stack;
+}
 
 /// One execution context the controller or a runner can switch to: the
 /// saved stack pointer plus what the sanitizers need to know about the
@@ -1012,59 +1031,71 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
 #if COCA_TSAN
   im.controller.tsan = __tsan_get_current_fiber();
 #endif
-  for (auto& rp : im.runners) {
-    Runner& r = *rp;
-    r.impl = &im;
-    r.fiber_stack = std::make_unique<FiberStack>();
-    init_fiber(r.fiber, r.fiber_stack->sp(), r.fiber_stack->size(),
-               &Runner::fiber_trampoline, &r);
+  // A throw on the controller's side (a scripted strategy, round observer
+  // or router, or a stack that cannot be mapped) leaves runners parked
+  // mid-protocol; it is held here and rethrown once they have unwound.
+  std::exception_ptr escaped;
+  try {
+    for (auto& rp : im.runners) {
+      Runner& r = *rp;
+      r.impl = &im;
+      r.fiber_stack = take_stack();
+      init_fiber(r.fiber, r.fiber_stack->sp(), r.fiber_stack->size(),
+                 &Runner::fiber_trampoline, &r);
 #if COCA_ASAN
-    r.fiber.stack_bottom = r.fiber_stack->sp();
-    r.fiber.stack_size = r.fiber_stack->size();
+      r.fiber.stack_bottom = r.fiber_stack->sp();
+      r.fiber.stack_size = r.fiber_stack->size();
 #endif
 #if COCA_TSAN
-    r.fiber.tsan = __tsan_create_fiber(0);
+      r.fiber.tsan = __tsan_create_fiber(0);
 #endif
-  }
-  for (;;) {
-    im.current_round = rounds;
-    im.begin_slice_faults(rounds);
-    begin_round_span();
-    for (auto& rp : im.runners) {
-      if (rp->state == Runner::State::Finished) continue;
-      if (im.skip_this_slice(*rp, rounds)) continue;
-      if (obs::Tracer* tr = im.tracer; tr != nullptr) {
-        tr->begin(rp->obs_slice_track, "slice", "slice", rounds);
-        obs::thread_scope() = {tr, rp->obs_track, rounds};
-      }
-      switch_fiber(im.controller, rp->fiber);
-      if (obs::Tracer* tr = im.tracer; tr != nullptr) {
-        obs::thread_scope() = {};
-        tr->end(rp->obs_slice_track);
-      }
     }
-    if (!close_round()) break;
-    ++rounds;
+    for (;;) {
+      im.current_round = rounds;
+      im.begin_slice_faults(rounds);
+      begin_round_span();
+      for (auto& rp : im.runners) {
+        if (rp->state == Runner::State::Finished) continue;
+        if (im.skip_this_slice(*rp, rounds)) continue;
+        if (obs::Tracer* tr = im.tracer; tr != nullptr) {
+          tr->begin(rp->obs_slice_track, "slice", "slice", rounds);
+          obs::thread_scope() = {tr, rp->obs_track, rounds};
+        }
+        switch_fiber(im.controller, rp->fiber);
+        if (obs::Tracer* tr = im.tracer; tr != nullptr) {
+          obs::thread_scope() = {};
+          tr->end(rp->obs_slice_track);
+        }
+      }
+      if (!close_round()) break;
+      ++rounds;
+    }
+  } catch (...) {
+    escaped = std::current_exception();
   }
-  if (failure || timed_out) {
+  if (escaped || failure || timed_out) {
     // Unwind every parked fiber so protocol stack frames run their
-    // destructors before the stacks are freed.
+    // destructors before the stacks go back to the free list. This runs
+    // outside the catch block: the fibers' own throws and catches must not
+    // interleave with a handler still open on the controller's stack.
     im.abort = true;
     for (auto& rp : im.runners) {
-      if (rp->state != Runner::State::Finished) {
+      if (rp->fiber_stack && rp->state != Runner::State::Finished) {
         switch_fiber(im.controller, rp->fiber);
       }
     }
     im.abort = false;
-  } else {
-    im.record_leftovers(rounds);
   }
   for (auto& rp : im.runners) {
 #if COCA_TSAN
-    __tsan_destroy_fiber(rp->fiber.tsan);
+    if (rp->fiber.tsan != nullptr) __tsan_destroy_fiber(rp->fiber.tsan);
+    rp->fiber.tsan = nullptr;
 #endif
-    rp->fiber_stack.reset();
+    // Every fiber has finished, so no live frame is left on its stack.
+    if (rp->fiber_stack) t_free_stacks.push_back(std::move(rp->fiber_stack));
   }
+  if (escaped) std::rethrow_exception(escaped);
+  if (!failure && !timed_out) im.record_leftovers(rounds);
 
   // Legacy (non-guarded) failure plumbing: the caller rethrows.
   *first_error = failure;

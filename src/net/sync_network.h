@@ -23,7 +23,9 @@
 // annotated for AddressSanitizer and ThreadSanitizer, so sanitizer builds
 // check this same engine. Each fiber stack is 1 MiB with a PROT_NONE guard
 // page below it: a party that overflows its stack kills the process with
-// SIGSEGV rather than corrupting a neighbouring fiber.
+// SIGSEGV rather than corrupting a neighbouring fiber. Stacks are reused
+// through a per-thread free list: a thread maps a new one only when a run
+// has more parties than any earlier run on that thread.
 //
 // One caveat: fibers cannot be preempted, so a party that loops forever
 // without calling advance() hangs the run. `max_rounds` bounds only

@@ -2,14 +2,21 @@
 // rushing byzantine strategies, split-brain equivocation.
 #include "net/sync_network.h"
 
+#include <algorithm>
+#include <barrier>
 #include <cfenv>
 #include <csignal>
 #include <cstdint>
+#include <thread>
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
 #include <unistd.h>
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "adversary/fuzzer.h"
 #include "adversary/strategies.h"
@@ -217,6 +224,64 @@ TEST(SyncNetwork, RoundLimitEnforced) {
   EXPECT_THROW(net.run(/*max_rounds=*/50), Error);
 }
 
+/// Sends to the out-of-range recipient n in round 1, so deliver_round throws
+/// on the controller's side while every honest party is parked.
+class OutOfRangeSender final : public ByzantineStrategy {
+ public:
+  void on_round(const RoundView& view,
+                const std::function<void(int, Bytes)>& send) override {
+    if (view.round == 1) send(view.n, Bytes{1});
+  }
+};
+
+/// Throws from the round-1 hook, on the controller's side.
+class ThrowingObserver final : public RoundObserver {
+ public:
+  void on_round(std::size_t round, std::uint64_t, std::uint64_t) override {
+    if (round == 1) throw Error("observer failed");
+  }
+};
+
+TEST(SyncNetwork, ControllerSideThrowUnwindsParkedParties) {
+  struct Guard {
+    int* destroyed;
+    ~Guard() { ++*destroyed; }
+  };
+  enum class Thrower { kStrategyViaRun, kStrategyViaReport, kObserver };
+  for (const Thrower thrower : {Thrower::kStrategyViaRun,
+                                Thrower::kStrategyViaReport,
+                                Thrower::kObserver}) {
+    int destroyed = 0;
+    ThrowingObserver observer;
+    SyncNetwork net(4, 1);
+    if (thrower == Thrower::kObserver) {
+      net.set_round_observer(&observer);
+      net.set_byzantine(3, std::make_shared<adv::Silent>());
+    } else {
+      net.set_byzantine(3, std::make_shared<OutOfRangeSender>());
+    }
+    for (int id = 0; id < 3; ++id) {
+      net.set_honest(id, [&destroyed](PartyContext& ctx) {
+        Guard guard{&destroyed};
+        for (;;) (void)ctx.advance();
+      });
+    }
+    if (thrower == Thrower::kStrategyViaReport) {
+      EXPECT_THROW((void)net.run_report(), Error);
+    } else {
+      EXPECT_THROW((void)net.run(), Error);
+    }
+    EXPECT_EQ(destroyed, 3) << "thrower " << static_cast<int>(thrower);
+  }
+  // The stacks went back to this thread's free list with no live frames,
+  // so the next run reuses them cleanly.
+  auto run = test::run_parties<std::size_t>(4, 0, [](PartyContext& ctx, int) {
+    ctx.send_all(Bytes{7});
+    return ctx.advance().size();
+  });
+  for (const auto& out : run.outputs) EXPECT_EQ(*out, 4u);
+}
+
 TEST(SyncNetwork, RolesMustBeAssigned) {
   SyncNetwork net(3, 1);
   net.set_honest(0, [](PartyContext&) {});
@@ -422,9 +487,10 @@ void on_stack_fault(int, siginfo_t* info, void*) {
   std::signal(SIGSEGV, SIG_DFL);
 }
 
-// Party 1 overflows while parties 0 and 2 -- whose stacks are mapped next to
-// its own -- sit parked at the barrier.
-void run_with_one_overflowing_party() {
+// Party 1 overflows while parties 0 and 2 sit parked at the barrier. With
+// `reuse`, a clean run first leaves its stacks on this thread's free list,
+// and the overflowing party must run on one of them (else exit code 4).
+void run_with_one_overflowing_party(bool reuse) {
   const rlimit no_core{0, 0};
   ::setrlimit(RLIMIT_CORE, &no_core);
   static char alt_stack[1 << 16];
@@ -436,11 +502,28 @@ void run_with_one_overflowing_party() {
   sa.sa_sigaction = on_stack_fault;
   sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
   ::sigaction(SIGSEGV, &sa, nullptr);
+  std::vector<std::uintptr_t> clean_tops;
+  if (reuse) {
+    auto clean = test::run_parties<std::uintptr_t>(
+        3, 0, [](PartyContext&, int) {
+          char marker = 0;
+          return reinterpret_cast<std::uintptr_t>(&marker);
+        });
+    for (const auto& top : clean.outputs) clean_tops.push_back(*top);
+  }
   SyncNetwork net(3, 0);
   for (int id = 0; id < 3; ++id) {
-    net.set_honest(id, [id](PartyContext& ctx) {
+    net.set_honest(id, [id, reuse, &clean_tops](PartyContext& ctx) {
       char marker = 0;
-      if (id == 1) overflow_stack_top = &marker;
+      if (id == 1) {
+        overflow_stack_top = &marker;
+        const auto top = reinterpret_cast<std::uintptr_t>(&marker);
+        const bool on_a_clean_stack = std::any_of(
+            clean_tops.begin(), clean_tops.end(), [top](std::uintptr_t t) {
+              return (t > top ? t - top : top - t) < kFiberStack / 2;
+            });
+        if (reuse && !on_a_clean_stack) ::_exit(4);
+      }
       (void)ctx.advance();
       if (id == 1) (void)overflow_stack(std::size_t{1} << 20);
       (void)ctx.advance();
@@ -452,7 +535,13 @@ void run_with_one_overflowing_party() {
 TEST(SyncNetworkDeathTest, StackOverflowDiesOnTheGuardPage) {
   // The PROT_NONE page below the overflowing fiber's stack must stop the
   // descent with SIGSEGV before it reaches a neighbour's stack.
-  EXPECT_EXIT(run_with_one_overflowing_party(),
+  EXPECT_EXIT(run_with_one_overflowing_party(/*reuse=*/false),
+              ::testing::KilledBySignal(SIGSEGV), "");
+}
+
+TEST(SyncNetworkDeathTest, OverflowOnAReusedStackDiesOnTheGuardPage) {
+  // A stack back from the free list keeps the guard page it was mapped with.
+  EXPECT_EXIT(run_with_one_overflowing_party(/*reuse=*/true),
               ::testing::KilledBySignal(SIGSEGV), "");
 }
 
@@ -582,6 +671,139 @@ TEST(SyncNetworkFiber, TwelveLocalsSurviveAHundredSwitches) {
   });
   EXPECT_EQ(run.stats.rounds, 100u);
   for (const auto& out : run.outputs) EXPECT_TRUE(*out);
+}
+
+// ---- Fiber stacks come from a per-thread free list. A party's frame
+// address names its stack: stacks are disjoint 1 MiB mappings, and every
+// frame recorded here sits a few KiB below its stack's top.
+
+std::uintptr_t frame_address() {
+  return reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+}
+
+/// Distinct stacks among `frames`: addresses less than half a stack apart
+/// share one.
+std::size_t distinct_stacks(std::vector<std::uintptr_t> frames) {
+  std::sort(frames.begin(), frames.end());
+  std::size_t stacks = 0;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (i == 0 || frames[i] - frames[i - 1] >= kFiberStack / 2) ++stacks;
+  }
+  return stacks;
+}
+
+TEST(SyncNetworkFiber, SequentialRunsReuseStacks) {
+  // After each run the test maps and keeps a block as large as the run's
+  // four stacks: stacks unmapped at run end and mapped afresh would find
+  // that hole taken and land somewhere new every run.
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t block = 4 * (kFiberStack + page);
+  std::vector<std::uintptr_t> frames;
+  std::vector<void*> blocks;
+  for (int run = 0; run < 50; ++run) {
+    auto out = test::run_parties<std::uintptr_t>(
+        4, 0, [](PartyContext&, int) { return frame_address(); });
+    for (const auto& f : out.outputs) frames.push_back(*f);
+    void* b = ::mmap(nullptr, block, PROT_NONE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    ASSERT_NE(b, MAP_FAILED);
+    blocks.push_back(b);
+  }
+  for (void* b : blocks) ::munmap(b, block);
+  EXPECT_LE(distinct_stacks(frames), 4u);
+}
+
+TEST(SyncNetworkFiber, ThreadsNeverShareAStack) {
+  // Two threads run networks at the same time: party 0 of every run meets
+  // the other thread's party 0 at a barrier, so both runs hold their stacks
+  // at once. No stack either thread ran a party on serves the other.
+  constexpr int kRuns = 20;
+  std::barrier meet(2);
+  const auto work = [&meet](std::vector<std::uintptr_t>* frames) {
+    for (int run = 0; run < kRuns; ++run) {
+      auto out = test::run_parties<std::uintptr_t>(
+          4, 0, [&meet](PartyContext& ctx, int id) {
+            if (id == 0) meet.arrive_and_wait();
+            (void)ctx.advance();
+            return frame_address();
+          });
+      for (const auto& f : out.outputs) frames->push_back(*f);
+    }
+  };
+  std::vector<std::uintptr_t> a;
+  std::vector<std::uintptr_t> b;
+  std::thread ta(work, &a);
+  std::thread tb(work, &b);
+  ta.join();
+  tb.join();
+  std::vector<std::uintptr_t> both = a;
+  both.insert(both.end(), b.begin(), b.end());
+  EXPECT_EQ(distinct_stacks(both), distinct_stacks(a) + distinct_stacks(b));
+}
+
+// Recurses `depth` frames, each with a local array ASan brackets with
+// redzones, then advances for longer than the run's round limit, so the
+// abort unwind abandons the frames.
+[[gnu::noinline]] void park_deep(PartyContext& ctx, int depth) {
+  volatile char frame[200];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0) {
+    for (int r = 0; r < 1000; ++r) (void)ctx.advance();
+    return;
+  }
+  park_deep(ctx, depth - 1);
+  frame[sizeof frame - 1] = frame[0];
+}
+
+// Under ASan: whether the unused stack below this frame, where park_deep's
+// frames lay, carries no shadow poison (this frame has no redzones).
+[[gnu::noinline]] bool stack_below_is_clean() {
+#if defined(__SANITIZE_ADDRESS__)
+  constexpr std::size_t kBelow = 64 << 10;
+  auto* frame = static_cast<char*>(__builtin_frame_address(0));
+  return __asan_region_is_poisoned(frame - kBelow, kBelow) == nullptr;
+#else
+  return true;
+#endif
+}
+
+// One flat 16 KiB array over the addresses park_deep's frames used.
+[[gnu::noinline]] bool fill_flat(PartyContext& ctx) {
+  if (!stack_below_is_clean()) return false;
+  volatile unsigned char block[16 << 10];
+  for (std::size_t i = 0; i < sizeof block; ++i) {
+    block[i] = static_cast<unsigned char>(i);
+  }
+  (void)ctx.advance();
+  for (std::size_t i = 0; i < sizeof block; ++i) {
+    if (block[i] != static_cast<unsigned char>(i)) return false;
+  }
+  return true;
+}
+
+TEST(SyncNetworkFiber, ReusedStackCarriesNoStalePoison) {
+  // Under ASan, a pooled stack must come back without the shadow poison of
+  // the frames its last fiber abandoned.
+  std::vector<std::uintptr_t> deep;
+  {
+    SyncNetwork net(4, 0);
+    for (int id = 0; id < 4; ++id) {
+      net.set_honest(id, [&deep](PartyContext& ctx) {
+        deep.push_back(frame_address());
+        park_deep(ctx, 16);
+      });
+    }
+    EXPECT_THROW((void)net.run(/*max_rounds=*/3), Error);
+  }
+  std::vector<std::uintptr_t> flat;
+  auto run = test::run_parties<bool>(4, 0, [&flat](PartyContext& ctx, int) {
+    flat.push_back(frame_address());
+    return fill_flat(ctx);
+  });
+  for (const auto& out : run.outputs) EXPECT_TRUE(*out);
+  std::vector<std::uintptr_t> both = deep;
+  both.insert(both.end(), flat.begin(), flat.end());
+  EXPECT_EQ(distinct_stacks(both), 4u);  // run 2 ran on run 1's stacks
 }
 
 // ---- Phase meter semantics. Each test pins both public views in full
