@@ -78,32 +78,38 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
       return argv[++i];
     };
-    if (arg == "--protocol") {
-      protocol_name = next();
-    } else if (arg == "--n") {
-      n = std::stoi(next());
-    } else if (arg == "--t") {
-      t = std::stoi(next());
-    } else if (arg == "--inputs") {
-      for (const auto& v : split(next(), ',')) {
-        inputs.push_back(BigInt::from_decimal(v));
+    // Numbers and --inputs values that do not parse, or do not fit, end
+    // in the usage message like every other bad argument.
+    try {
+      if (arg == "--protocol") {
+        protocol_name = next();
+      } else if (arg == "--n") {
+        n = std::stoi(next());
+      } else if (arg == "--t") {
+        t = std::stoi(next());
+      } else if (arg == "--inputs") {
+        for (const auto& v : split(next(), ',')) {
+          inputs.push_back(BigInt::from_decimal(v));
+        }
+      } else if (arg == "--random-bits") {
+        random_bits = static_cast<std::size_t>(std::stoull(next()));
+      } else if (arg == "--seed") {
+        seed = std::stoull(next());
+      } else if (arg == "--adversary") {
+        for (const auto& name : split(next(), ',')) {
+          const auto kind = parse_kind(name);
+          if (!kind) usage(("unknown adversary kind: " + name).c_str());
+          adversaries.push_back(*kind);
+        }
+      } else if (arg == "--phases") {
+        show_phases = true;
+      } else if (arg == "--help" || arg == "-h") {
+        usage("usage");
+      } else {
+        usage(("unknown argument: " + arg).c_str());
       }
-    } else if (arg == "--random-bits") {
-      random_bits = static_cast<std::size_t>(std::stoull(next()));
-    } else if (arg == "--seed") {
-      seed = std::stoull(next());
-    } else if (arg == "--adversary") {
-      for (const auto& name : split(next(), ',')) {
-        const auto kind = parse_kind(name);
-        if (!kind) usage(("unknown adversary kind: " + name).c_str());
-        adversaries.push_back(*kind);
-      }
-    } else if (arg == "--phases") {
-      show_phases = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage("usage");
-    } else {
-      usage(("unknown argument: " + arg).c_str());
+    } catch (const std::exception&) {
+      usage(("bad value for " + arg).c_str());
     }
   }
 

@@ -21,9 +21,9 @@
 // The pool is a leaky process-wide singleton so late-destructed views (e.g.
 // a static transcript) can always return their slab safely.
 //
-// Stats are monotonic process-wide counters; `bench_runner --wire` samples
-// them per round and the CI zero-copy gate asserts the steady-state
-// `slab_allocs` delta is zero.
+// Stats are monotonic process-wide counters; perfbench reports them per
+// routed round, and the WireConformance zero-copy tests assert that the
+// steady-state `slab_allocs` delta is zero.
 #pragma once
 
 #include <cstdint>

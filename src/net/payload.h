@@ -78,7 +78,7 @@ struct PayloadMetrics {
   /// remainder move when it switches receive slabs. Kept separate from
   /// `copies()` because RunStats::payload_copies must stay bit-identical
   /// between the simulator and the wire path; these are process-wide only
-  /// (no thread shadow) and are sampled by bench_runner's wire probe.
+  /// (no thread shadow); perfbench reports them per routed round.
   static std::uint64_t wire_copies();
   static std::uint64_t wire_bytes_copied();
   static void add_wire_copy(std::uint64_t bytes);

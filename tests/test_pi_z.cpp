@@ -119,5 +119,32 @@ TEST(PiZ, CommunicationLinearInEll) {
   EXPECT_LT(ratio, 2.6);
 }
 
+TEST(PiZ, PinnedGarbageConfigN13) {
+  // A pinned whole-protocol run with its exact meters: n = 13 with t = 4
+  // kGarbage byzantines at parties 1, 4, 7 and 10, honest inputs of exactly
+  // 2^14 bits from seed 18384. The meters are the ones EXPERIMENTS.md
+  // ("Perf") records for this configuration since the seed build.
+  const ConvexAgreement proto;
+  constexpr std::size_t kBits = std::size_t{1} << 14;
+  SimConfig cfg;
+  cfg.n = 13;
+  cfg.t = 4;
+  Rng rng(2000 + kBits);
+  for (int i = 0; i < cfg.n; ++i) {
+    cfg.inputs.emplace_back(
+        BigNat::pow2(kBits - 1) + rng.nat_below_pow2(kBits - 1), false);
+  }
+  for (const int id : {1, 4, 7, 10}) {
+    cfg.corruptions.push_back({id, adv::Kind::kGarbage});
+  }
+  cfg.extreme_low = BigInt(0);
+  cfg.extreme_high = BigInt(BigNat::pow2(24), false);
+  const SimResult r = run_simulation(proto, cfg);
+  EXPECT_TRUE(r.agreement());
+  EXPECT_TRUE(r.convex_validity(cfg.inputs));
+  EXPECT_EQ(r.stats.honest_bits(), 1044472u);
+  EXPECT_EQ(r.stats.rounds, 618u);
+}
+
 }  // namespace
 }  // namespace coca::ca

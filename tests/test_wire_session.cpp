@@ -220,23 +220,27 @@ TEST(WireSession, TcpLoopbackCarriesSessionsToo) {
   daemon.start();
   {
     const auto client = svc::WireClient::connect_tcp(daemon.tcp_port());
-    const auto session = client->open(4, 1);
-    adv::FuzzCase c;
-    c.protocol = "BAPlus";
-    c.n = 4;
-    c.t = 1;
-    c.ell = 16;
-    c.input_seed = 42;
-    net::Transcript solo_tr;
-    const adv::FuzzOutcome solo = adv::execute_case(c, &solo_tr);
-    net::Transcript wire_tr;
-    adv::ExecHooks hooks;
-    hooks.transcript = &wire_tr;
-    hooks.router = session.get();
-    const adv::FuzzOutcome wired = adv::execute_case(c, hooks);
-    EXPECT_EQ(solo.stats.honest_bytes, wired.stats.honest_bytes);
-    EXPECT_EQ(solo.stats.rounds, wired.stats.rounds);
-    EXPECT_TRUE(solo_tr == wire_tr);
+    for (const std::string& protocol : adv::known_protocols()) {
+      SCOPED_TRACE(protocol);
+      const auto session = client->open(7, 2);
+      adv::FuzzCase c;
+      c.protocol = protocol;
+      c.n = 7;
+      c.t = 2;
+      c.ell = 16;
+      c.input_seed = 42;
+      net::Transcript solo_tr;
+      const adv::FuzzOutcome solo = adv::execute_case(c, &solo_tr);
+      net::Transcript wire_tr;
+      adv::ExecHooks hooks;
+      hooks.transcript = &wire_tr;
+      hooks.router = session.get();
+      const adv::FuzzOutcome wired = adv::execute_case(c, hooks);
+      EXPECT_EQ(solo.stats.honest_bytes, wired.stats.honest_bytes);
+      EXPECT_EQ(solo.stats.rounds, wired.stats.rounds);
+      EXPECT_EQ(solo.stats.payload_copies, wired.stats.payload_copies);
+      EXPECT_TRUE(solo_tr == wire_tr);
+    }
   }
   daemon.stop();
 }

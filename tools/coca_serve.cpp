@@ -63,7 +63,9 @@ int main(int argc, char** argv) {
       } else if (arg == "--tcp") {
         options.tcp = true;
         tcp_set = true;
-        options.tcp_port = static_cast<std::uint16_t>(std::stoi(next()));
+        const int port = std::stoi(next());
+        if (port < 0 || port > 65535) usage("--tcp must be in 0..65535");
+        options.tcp_port = static_cast<std::uint16_t>(port);
       } else if (arg == "--idle-ms") {
         options.idle_timeout_ms = std::stoi(next());
         if (options.idle_timeout_ms < 1) usage("--idle-ms must be >= 1");
@@ -84,6 +86,8 @@ int main(int argc, char** argv) {
       }
     } catch (const std::invalid_argument&) {
       usage("bad numeric value for " + arg);
+    } catch (const std::out_of_range&) {
+      usage("numeric value out of range for " + arg);
     }
   }
   if (options.uds_path.empty() && !tcp_set) {

@@ -149,6 +149,8 @@ int main(int argc, char** argv) {
       }
     } catch (const std::invalid_argument&) {
       usage("bad numeric value for " + arg);
+    } catch (const std::out_of_range&) {
+      usage("numeric value out of range for " + arg);
     }
   }
   if (c.t < 0) c.t = (c.n - 1) / 3;
