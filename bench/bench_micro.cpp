@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for every substrate: SHA-256, Merkle
-// build/verify, Reed-Solomon encode/decode, Bitstring/BigNat kernels, the
-// round engine's per-slice cost, and the BA building blocks on the
-// simulator.
+// build/verify, Reed-Solomon encode/decode and its GF(2^16) axpy,
+// Bitstring/BigNat kernels, the round engine's per-slice cost, and the BA
+// building blocks on the simulator.
 #include <benchmark/benchmark.h>
 
 #include "ba/long_ba_plus.h"
@@ -73,11 +73,33 @@ void BM_RSEncode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(1));
 }
+// (7, 524296) is lBA+'s encode on piz_wide_input: n = 7 (k = 5) and a
+// 2^22-bit value plus its 8-byte length prefix.
 BENCHMARK(BM_RSEncode)
     ->Args({10, 4096})
     ->Args({10, 65536})
     ->Args({31, 65536})
-    ->Args({100, 65536});
+    ->Args({100, 65536})
+    ->Args({7, 524296});
+
+// The raw GF(2^16) axpy (dst ^= c * src) as encode and decode run it, on
+// whichever loop this host dispatches to; 104 KiB is about one share of
+// the (7, 524296) encode above.
+void BM_GF16Axpy(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  Rng rng(8);
+  const Bytes src = rng.bytes(bytes);
+  Bytes dst = rng.bytes(bytes);
+  const codec::MulBy by_c(codec::GF16::instance(), 0x8E2B);
+  for (auto _ : state) {
+    by_c.axpy_be(dst.data(), src.data(), bytes);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_GF16Axpy)->Arg(4 * 1024)->Arg(104 * 1024);
 
 void BM_RSDecode(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

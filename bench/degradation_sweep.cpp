@@ -15,6 +15,7 @@
 #include <string>
 
 #include "adversary/degradation.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -48,11 +49,11 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     try {
       if (arg == "--n") {
-        cfg.n = std::stoi(arg_value(argc, argv, i, arg));
+        cfg.n = coca::parse_int<int>(arg_value(argc, argv, i, arg));
       } else if (arg == "--ell") {
-        cfg.ell = std::stoull(arg_value(argc, argv, i, arg));
+        cfg.ell = coca::parse_int<std::size_t>(arg_value(argc, argv, i, arg));
       } else if (arg == "--fmax") {
-        cfg.f_max = std::stoi(arg_value(argc, argv, i, arg));
+        cfg.f_max = coca::parse_int<int>(arg_value(argc, argv, i, arg));
       } else if (arg == "--protocols") {
         std::stringstream ss(arg_value(argc, argv, i, arg));
         std::string item;
@@ -60,7 +61,8 @@ int main(int argc, char** argv) {
           if (!item.empty()) cfg.protocols.push_back(item);
         }
       } else if (arg == "--seed") {
-        cfg.input_seed = std::stoull(arg_value(argc, argv, i, arg));
+        cfg.input_seed =
+            coca::parse_int<std::uint64_t>(arg_value(argc, argv, i, arg));
       } else if (arg == "--out") {
         out_path = arg_value(argc, argv, i, arg);
       } else if (arg == "--md") {

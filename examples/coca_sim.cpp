@@ -26,6 +26,7 @@
 
 #include "ca/broadcast_ca.h"
 #include "ca/driver.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace {
@@ -84,17 +85,17 @@ int main(int argc, char** argv) {
       if (arg == "--protocol") {
         protocol_name = next();
       } else if (arg == "--n") {
-        n = std::stoi(next());
+        n = parse_int<int>(next());
       } else if (arg == "--t") {
-        t = std::stoi(next());
+        t = parse_int<int>(next());
       } else if (arg == "--inputs") {
         for (const auto& v : split(next(), ',')) {
           inputs.push_back(BigInt::from_decimal(v));
         }
       } else if (arg == "--random-bits") {
-        random_bits = static_cast<std::size_t>(std::stoull(next()));
+        random_bits = parse_int<std::size_t>(next());
       } else if (arg == "--seed") {
-        seed = std::stoull(next());
+        seed = parse_int<std::uint64_t>(next());
       } else if (arg == "--adversary") {
         for (const auto& name : split(next(), ',')) {
           const auto kind = parse_kind(name);

@@ -9,10 +9,20 @@
 // `MulBy` is the bulk-multiplication kernel: multiplication by a fixed
 // constant c is GF(2)-linear in the 16 input bits, so c*x decomposes into
 // XORs of per-nibble partial products. The constructor builds the four
-// packed nibble tables (64 field muls) and folds them into two 256-entry
-// byte tables (XORs only); `mul_be`/`axpy_be` then stream over big-endian
-// symbol buffers at two L1 lookups per symbol with 64-bit-wide XOR/stores --
-// the inner loop of Reed-Solomon encode/decode.
+// nibble tables (16 field muls) and keeps them twice: as eight 16-byte
+// tables (the low and high product byte per nibble position) and folded
+// into two 256-entry byte tables (XORs only). `mul_be`/`axpy_be` stream
+// over big-endian symbol buffers -- the inner loop of Reed-Solomon encode
+// and decode -- and dispatch at run time:
+//   * AVX2 (split-nibble technique, Plank, Greenan and Miller, FAST 2013):
+//     per 32 bytes one byte-swap PSHUFB fetches each symbol's partner byte,
+//     eight table PSHUFBs look up the nibbles, and one blend keeps each
+//     byte's half of the product;
+//   * scalar: two byte-table lookups per symbol. It handles the tail under
+//     32 bytes and every buffer on hosts without AVX2.
+// Both loops compute the same field products, so the choice never changes
+// a codeword. The AVX2 loop is one `target("avx2")` function behind a
+// cached CPUID check; the build sets no global ISA flag.
 #pragma once
 
 #include <cstdint>
@@ -63,9 +73,9 @@ class GF16 {
 
 /// Multiplication by a fixed field constant, for bulk symbol streams.
 ///
-/// Construction costs 64 field muls (the packed nibble tables) plus 512
-/// XORs (folding into byte tables); amortize it over at least a few hundred
-/// symbols -- Reed-Solomon keeps a scalar path for small buffers.
+/// Construction costs 16 field muls plus XORs (the nibble tables) and 512
+/// XORs (folding them into byte tables); amortize it over a few hundred
+/// bytes -- Reed-Solomon keeps a scalar path for small buffers.
 class MulBy {
  public:
   using Elem = GF16::Elem;
@@ -86,9 +96,46 @@ class MulBy {
   void axpy_be(std::uint8_t* dst, const std::uint8_t* src,
                std::size_t bytes) const;
 
+  /// nib_[2s] / nib_[2s + 1]: low / high byte of c * (d << 4s) for every
+  /// nibble value d at nibble position s (s = 0 is the symbol's low nibble).
+  /// The AVX2 loop's PSHUFB tables.
+  using NibbleTables = std::uint8_t[8][16];
+  const NibbleTables& nibble_tables() const { return nib_; }
+
  private:
   Elem lo_[256];  // c * x for x in 0..255 (low source byte)
   Elem hi_[256];  // c * (x << 8)         (high source byte)
+  alignas(16) NibbleTables nib_;
 };
+
+/// The loops behind `MulBy::mul_be`/`axpy_be`, callable one by one so tests
+/// can check each against the field on any host that runs it. Not a
+/// switch: production code calls only the MulBy members.
+namespace detail {
+
+using MulByKernel = void (*)(const MulBy& m, std::uint8_t* dst,
+                             const std::uint8_t* src, std::size_t bytes);
+
+/// Two byte-table lookups per symbol; runs everywhere.
+void mul_be_scalar(const MulBy& m, std::uint8_t* dst, const std::uint8_t* src,
+                   std::size_t bytes);
+void axpy_be_scalar(const MulBy& m, std::uint8_t* dst,
+                    const std::uint8_t* src, std::size_t bytes);
+
+/// True when the AVX2 loop is compiled in and the CPU supports AVX2
+/// (checked once, then cached).
+bool avx2_available();
+
+/// 32 bytes per step, scalar tail. Precondition: avx2_available().
+void mul_be_avx2(const MulBy& m, std::uint8_t* dst, const std::uint8_t* src,
+                 std::size_t bytes);
+void axpy_be_avx2(const MulBy& m, std::uint8_t* dst, const std::uint8_t* src,
+                  std::size_t bytes);
+
+/// The loops `mul_be` / `axpy_be` dispatch to on this host.
+MulByKernel mul_be_kernel();
+MulByKernel axpy_be_kernel();
+
+}  // namespace detail
 
 }  // namespace coca::codec

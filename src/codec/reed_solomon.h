@@ -10,6 +10,16 @@
 // symbols are the polynomial values at evaluation points 0..k-1 (systematic);
 // share i carries the value at point i for every chunk, so share size is
 // 2 * ceil(|data| / 2k) bytes.
+//
+// Cost: the constructor computes the n - k parity rows from barycentric
+// weights (O(k^2) once, then O(k) per row); decode does the same over the
+// selected shares, for the points whose systematic share is missing (none
+// when every selected share is systematic). Encode copies the systematic
+// shares out in one chunk-major pass and computes each parity share as one
+// linear combination of them: through the `MulBy` SIMD kernels for wide
+// shares, symbol by symbol below 448-byte shares, where a kernel table
+// build would cost more than it saves. Decode mirrors it and interleaves
+// the columns back in one pass.
 #pragma once
 
 #include <optional>
@@ -50,17 +60,17 @@ class ReedSolomon {
  private:
   std::size_t n_;
   std::size_t k_;
-  // parity_[r][j]: Lagrange basis L_j (through points 0..k-1) evaluated at
-  // point k+r, so parity symbol r = sum_j data_j * parity_[r][j].
-  std::vector<std::vector<GF16::Elem>> parity_;
+  // parity_[r * k + j]: Lagrange basis L_j (through points 0..k-1) at
+  // point k+r, so parity symbol r = sum_j data_j * parity_[r * k + j].
+  std::vector<GF16::Elem> parity_;
 };
 
 /// Reference implementation: the original chunk-major scalar encoder and
-/// decoder, one field mul per symbol through the log/exp tables. The
-/// production paths above are table-driven and share-major; these stay as
-/// (a) the differential-test oracle -- independent down to the symbol mul --
-/// and (b) the small-buffer fallback where MulBy table construction would
-/// dominate. Bit-for-bit output equality with ReedSolomon is a tested
+/// decoder, one field mul per symbol through the log/exp tables, with the
+/// O(k^2)-per-row Lagrange construction. It is the differential-test
+/// oracle only -- independent of the production paths above down to the
+/// interpolation rows and the symbol mul -- and nothing in the library
+/// calls it. Bit-for-bit output equality with ReedSolomon is a tested
 /// invariant (the wire format is pinned by replay corpora and transcripts).
 namespace ref_ {
 

@@ -1,6 +1,8 @@
 // GF(2^16) field axioms and Reed-Solomon erasure-coding tests.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "codec/gf16.h"
 #include "codec/reed_solomon.h"
 #include "util/rng.h"
@@ -163,38 +165,88 @@ TEST(GF16, MulByMatchesFieldMul) {
   }
 }
 
+// mul_be/axpy_be, and each loop they dispatch to called directly, against
+// the field: every even length from 0 to 130 bytes (so the 32-byte AVX2
+// step meets each tail length and the scalar 8-byte step each remainder)
+// plus buffers around 1 and 4 KiB, for the coefficients at the edges of the
+// nibble tables and random ones.
 TEST(GF16, MulBeAndAxpyBeMatchScalarLoop) {
   const GF16& f = GF16::instance();
-  Rng rng(92);
-  // Sizes straddle the 8-bytes-per-iteration wide loop: remainders 0..7
-  // plus single-symbol and empty buffers.
-  for (const std::size_t bytes : {0u, 2u, 6u, 8u, 10u, 14u, 16u, 18u, 24u,
-                                  30u, 64u, 66u, 126u, 1024u, 1030u}) {
-    const auto c = static_cast<GF16::Elem>(rng.next_u64());
-    const MulBy by_c(f, c);
-    const Bytes src = rng.bytes(bytes);
-    Bytes dst_fast(bytes, 0);
-    by_c.mul_be(dst_fast.data(), src.data(), bytes);
-    Bytes acc_fast = rng.bytes(bytes);
-    Bytes acc_ref = acc_fast;
-    by_c.axpy_be(acc_fast.data(), src.data(), bytes);
-    for (std::size_t i = 0; i < bytes; i += 2) {
-      const auto x = static_cast<GF16::Elem>((src[i] << 8) | src[i + 1]);
-      const GF16::Elem y = f.mul(c, x);
-      ASSERT_EQ(dst_fast[i], y >> 8) << "bytes=" << bytes << " i=" << i;
-      ASSERT_EQ(dst_fast[i + 1], y & 0xFF) << "bytes=" << bytes << " i=" << i;
-      acc_ref[i] ^= static_cast<std::uint8_t>(y >> 8);
-      acc_ref[i + 1] ^= static_cast<std::uint8_t>(y & 0xFF);
-    }
-    ASSERT_EQ(acc_fast, acc_ref) << "bytes=" << bytes;
+  struct Kernel {
+    const char* name;
+    detail::MulByKernel mul;
+    detail::MulByKernel axpy;
+  };
+  std::vector<Kernel> kernels = {
+      {"MulBy members",
+       [](const MulBy& m, std::uint8_t* d, const std::uint8_t* s,
+          std::size_t b) { m.mul_be(d, s, b); },
+       [](const MulBy& m, std::uint8_t* d, const std::uint8_t* s,
+          std::size_t b) { m.axpy_be(d, s, b); }},
+      {"scalar", detail::mul_be_scalar, detail::axpy_be_scalar}};
+  if (detail::avx2_available()) {
+    kernels.push_back({"avx2", detail::mul_be_avx2, detail::axpy_be_avx2});
   }
+  std::vector<std::size_t> lengths;
+  for (std::size_t b = 0; b <= 130; b += 2) lengths.push_back(b);
+  for (const std::size_t b : {1024u, 1030u, 4094u, 4096u, 4098u}) {
+    lengths.push_back(b);
+  }
+  Rng rng(92);
+  std::vector<GF16::Elem> coefs = {0x0000, 0x0001, 0xFFFF};
+  for (int i = 0; i < 4; ++i) {
+    coefs.push_back(static_cast<GF16::Elem>(rng.next_u64()));
+  }
+  for (const GF16::Elem c : coefs) {
+    const MulBy by_c(f, c);
+    for (const std::size_t bytes : lengths) {
+      const Bytes src = rng.bytes(bytes);
+      const Bytes acc0 = rng.bytes(bytes);
+      Bytes want_mul(bytes);
+      Bytes want_axpy = acc0;
+      for (std::size_t i = 0; i < bytes; i += 2) {
+        const auto x = static_cast<GF16::Elem>(src[i] << 8 | src[i + 1]);
+        const GF16::Elem y = f.mul(c, x);
+        want_mul[i] = static_cast<std::uint8_t>(y >> 8);
+        want_mul[i + 1] = static_cast<std::uint8_t>(y);
+        want_axpy[i] ^= static_cast<std::uint8_t>(y >> 8);
+        want_axpy[i + 1] ^= static_cast<std::uint8_t>(y);
+      }
+      for (const Kernel& kernel : kernels) {
+        // Poisoned output, so a byte the kernel fails to write shows.
+        Bytes got_mul(bytes, 0xA5);
+        kernel.mul(by_c, got_mul.data(), src.data(), bytes);
+        ASSERT_EQ(got_mul, want_mul)
+            << kernel.name << " mul_be c=" << c << " bytes=" << bytes;
+        Bytes got_axpy = acc0;
+        kernel.axpy(by_c, got_axpy.data(), src.data(), bytes);
+        ASSERT_EQ(got_axpy, want_axpy)
+            << kernel.name << " axpy_be c=" << c << " bytes=" << bytes;
+      }
+    }
+  }
+}
+
+// The AVX2 loop serves mul_be/axpy_be exactly when the CPU has AVX2, so a
+// broken dispatcher cannot silently fall back to the scalar loop.
+TEST(GF16, KernelDispatchFollowsCpuid) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+#else
+  const bool avx2 = false;
+#endif
+  EXPECT_EQ(detail::avx2_available(), avx2);
+  EXPECT_EQ(detail::mul_be_kernel(),
+            avx2 ? detail::mul_be_avx2 : detail::mul_be_scalar);
+  EXPECT_EQ(detail::axpy_be_kernel(),
+            avx2 ? detail::axpy_be_avx2 : detail::axpy_be_scalar);
 }
 
 TEST(ReedSolomon, EncodeMatchesReferenceAcrossSizes) {
   Rng rng(93);
-  // Sizes chosen to straddle the small-buffer threshold (512-byte shares)
-  // where encode switches between the ref_ scalar path and the MulBy axpy
-  // path, plus odd lengths exercising the padding of the final chunk.
+  // Sizes chosen to straddle the small-buffer threshold (448-byte shares)
+  // where encode switches between its scalar symbol loop and the MulBy
+  // kernels, plus odd lengths exercising the padding of the final chunk.
   const std::size_t sizes[] = {1,   2,    3,    17,   100,  511,   512,
                                513, 1000, 4095, 4096, 4097, 10000, 65537};
   for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{4, 3},
@@ -241,6 +293,25 @@ TEST(ReedSolomon, DecodeMatchesReferenceOnAdversarialShareLists) {
     ASSERT_EQ(rs.decode(few, 100), std::nullopt);
     ASSERT_EQ(ref_::decode(n, k, few, 100), std::nullopt);
   }
+}
+
+// lBA+'s shape on a 2^22-bit input at n = 7: (7, 5) with a 2^19 + 8-byte
+// payload, so the shares are ~100 KiB and the final chunk is padded.
+TEST(ReedSolomon, WideInputShapeMatchesReference) {
+  const std::size_t n = 7;
+  const std::size_t k = 5;
+  const ReedSolomon rs(n, k);
+  Rng rng(96);
+  const Bytes data = rng.bytes((std::size_t{1} << 19) + 8);
+  const auto shares = rs.encode(data);
+  ASSERT_EQ(shares, ref_::encode(n, k, data));
+  // Shares 2..6: both parity shares stand in for systematic shares 0 and
+  // 1, so two columns are interpolated and three are copied.
+  std::vector<std::pair<std::size_t, Bytes>> pool;
+  for (std::size_t i = n - k; i < n; ++i) pool.emplace_back(i, shares[i]);
+  const auto decoded = rs.decode(pool, data.size());
+  ASSERT_EQ(decoded, ref_::decode(n, k, pool, data.size()));
+  ASSERT_EQ(decoded, data);
 }
 
 TEST(ReedSolomon, DeterministicEncoding) {

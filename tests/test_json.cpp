@@ -1,10 +1,13 @@
-// util/json: the one escaper and strict reader behind every case file.
+// util/json: the one escaper and strict reader behind every case file;
+// util/parse: the whole-string integer parse behind every CLI number.
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "util/json.h"
+#include "util/parse.h"
 
 namespace coca::json {
 namespace {
@@ -46,6 +49,24 @@ TEST(Json, ReaderRejectsRepeatedKeysAndOutOfRangeIntegers) {
   }
   Reader r("[255, 256]", "test JSON");
   EXPECT_THROW(r.elements([&] { (void)r.int_in<std::uint8_t>(); }), Error);
+}
+
+TEST(ParseInt, AcceptsOnlyAWholeInRangeLiteral) {
+  EXPECT_EQ(parse_int<int>("4"), 4);
+  EXPECT_EQ(parse_int<int>("-3"), -3);
+  EXPECT_EQ(parse_int<std::uint64_t>("18446744073709551615"),
+            ~std::uint64_t{0});
+  // A prefix is not a value, and an unsigned field takes no sign.
+  for (const char* bad : {"", "4x", "x4", " 4", "4 ", "+4", "0x10", "4.0"}) {
+    EXPECT_THROW(parse_int<int>(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW(parse_int<std::size_t>("-1"), std::invalid_argument);
+  EXPECT_THROW(parse_int<std::uint64_t>("-0"), std::invalid_argument);
+  // A value the field cannot hold is out_of_range.
+  EXPECT_THROW(parse_int<int>("99999999999"), std::out_of_range);
+  EXPECT_THROW(parse_int<int>("-99999999999"), std::out_of_range);
+  EXPECT_THROW(parse_int<std::uint64_t>("18446744073709551616"),
+               std::out_of_range);
 }
 
 }  // namespace

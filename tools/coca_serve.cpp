@@ -18,6 +18,7 @@
 #include <string>
 
 #include "svc/server.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -63,17 +64,17 @@ int main(int argc, char** argv) {
       } else if (arg == "--tcp") {
         options.tcp = true;
         tcp_set = true;
-        const int port = std::stoi(next());
+        const int port = parse_int<int>(next());
         if (port < 0 || port > 65535) usage("--tcp must be in 0..65535");
         options.tcp_port = static_cast<std::uint16_t>(port);
       } else if (arg == "--idle-ms") {
-        options.idle_timeout_ms = std::stoi(next());
+        options.idle_timeout_ms = parse_int<int>(next());
         if (options.idle_timeout_ms < 1) usage("--idle-ms must be >= 1");
       } else if (arg == "--grace-ms") {
-        options.resume_grace_ms = std::stoi(next());
+        options.resume_grace_ms = parse_int<int>(next());
         if (options.resume_grace_ms < 0) usage("--grace-ms must be >= 0");
       } else if (arg == "--replay-rounds") {
-        options.replay_log_rounds = std::stoi(next());
+        options.replay_log_rounds = parse_int<int>(next());
         if (options.replay_log_rounds < 0) {
           usage("--replay-rounds must be >= 0");
         }

@@ -34,6 +34,7 @@
 #include "obs/adapt.h"
 #include "svc/chaos.h"
 #include "svc/wire_fault.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "obs/export.h"
 #include "obs/obs.h"
@@ -351,16 +352,18 @@ int main(int argc, char** argv) {
       if (arg == "--budget-sec") {
         options.budget_sec = std::stod(arg_value(argc, argv, i, arg));
       } else if (arg == "--iters") {
-        options.max_cases = std::stoull(arg_value(argc, argv, i, arg));
+        options.max_cases =
+            coca::parse_int<std::size_t>(arg_value(argc, argv, i, arg));
       } else if (arg == "--protocols") {
         options.protocols = split_csv(arg_value(argc, argv, i, arg));
       } else if (arg == "--n") {
         options.sizes.clear();
         for (const auto& s : split_csv(arg_value(argc, argv, i, arg))) {
-          options.sizes.push_back(std::stoi(s));
+          options.sizes.push_back(coca::parse_int<int>(s));
         }
       } else if (arg == "--seed") {
-        options.seed = std::stoull(arg_value(argc, argv, i, arg));
+        options.seed =
+            coca::parse_int<std::uint64_t>(arg_value(argc, argv, i, arg));
       } else if (arg == "--faults") {
         options.faults = true;
       } else if (arg == "--no-shrink") {

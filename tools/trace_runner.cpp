@@ -34,6 +34,7 @@
 #include "obs/obs.h"
 #include "svc/client.h"
 #include "svc/server.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -69,7 +70,7 @@ std::vector<int> parse_ids(const std::string& s) {
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) usage("empty id in list '" + s + "'");
-    ids.push_back(std::stoi(item));
+    ids.push_back(parse_int<int>(item));
   }
   return ids;
 }
@@ -121,17 +122,17 @@ int main(int argc, char** argv) {
       if (arg == "--protocol") {
         c.protocol = next();
       } else if (arg == "--n") {
-        c.n = std::stoi(next());
+        c.n = parse_int<int>(next());
       } else if (arg == "--ell") {
-        c.ell = std::stoul(next());
+        c.ell = parse_int<std::size_t>(next());
       } else if (arg == "--seed") {
-        c.input_seed = std::stoull(next());
+        c.input_seed = parse_int<std::uint64_t>(next());
       } else if (arg == "--corrupted") {
         c.corrupted = parse_ids(next());
       } else if (arg == "--fault") {
         fault_kind = next();
       } else if (arg == "--f") {
-        fault_f = std::stoi(next());
+        fault_f = parse_int<int>(next());
       } else if (arg == "--perfetto") {
         perfetto_path = next();
       } else if (arg == "--metrics") {

@@ -41,6 +41,7 @@
 #include "net/buffer_pool.h"
 #include "svc/chaos.h"
 #include "svc/wire_fault.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace {
@@ -114,12 +115,12 @@ int main(int argc, char** argv) {
         seconds = std::stod(next());
         if (seconds <= 0) usage("--seconds must be > 0");
       } else if (arg == "--sessions") {
-        sessions = std::stoi(next());
+        sessions = parse_int<int>(next());
         if (sessions < 1) usage("--sessions must be >= 1");
       } else if (arg == "--seed") {
-        seed = std::stoull(next());
+        seed = parse_int<std::uint64_t>(next());
       } else if (arg == "--stall-sec") {
-        stall_sec = std::stoi(next());
+        stall_sec = parse_int<int>(next());
         if (stall_sec < 1) usage("--stall-sec must be >= 1");
       } else if (arg == "--out") {
         out_path = next();
