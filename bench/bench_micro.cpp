@@ -229,6 +229,35 @@ void BM_EngineSlice(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSlice)->Arg(4)->Arg(31)->Unit(benchmark::kMicrosecond);
 
+// The round engine's per-message cost on all-to-all traffic: every party
+// send_alls a 1-byte (inline) and a 64-byte (shared) payload each round,
+// the shape of Phase-King and BA+ rounds. per_message = wall time /
+// (2 n^2 * rounds): staging, metering, delivery and the slices.
+void BM_EngineBroadcastRound(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  constexpr int kRounds = 200;
+  for (auto _ : state) {
+    net::SyncNetwork net(n, (n - 1) / 3);
+    for (int id = 0; id < n; ++id) {
+      net.set_honest(id, [id](net::PartyContext& ctx) {
+        const auto tag = static_cast<std::uint8_t>(id);
+        const net::Payload wide(Bytes(64, tag));
+        for (int r = 0; r < kRounds; ++r) {
+          ctx.send_all(net::Payload::inline_of({tag}));
+          ctx.send_all(wide);
+          benchmark::DoNotOptimize(ctx.advance());
+        }
+      });
+    }
+    benchmark::DoNotOptimize(net.run());
+  }
+  state.counters["per_message"] = benchmark::Counter(
+      2.0 * n * n * kRounds, benchmark::Counter::kIsIterationInvariantRate |
+                                 benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineBroadcastRound)->Arg(7)->Arg(31)->Unit(
+    benchmark::kMicrosecond);
+
 // The round engine's per-run fixed cost: n parties that return without
 // advancing, so a run is building and tearing down its runners (fiber
 // stack, first frame, one switch in and out each) and nothing else.

@@ -3,9 +3,9 @@
 // All simulator wire traffic is carried as `Payload` values. A payload of
 // more than `kInline` bytes is a *shared view*: a shared ownership handle
 // onto one immutable byte buffer plus an (offset, length) window.
-// `send_all` stages ONE buffer shared by all n recipients; round mailboxes,
-// the rushing adversary's traffic view, and the Transcript all hold views
-// of that same buffer. A payload of at most `kInline` bytes -- most
+// A `send_all` is ONE staged entry that the round engine fans out only at
+// delivery; round mailboxes, the rushing adversary's traffic view, and the
+// Transcript all hold views of that same buffer. A payload of at most `kInline` bytes -- most
 // protocol messages are a byte or a tagged digest -- is stored *inline* in
 // the 32-byte object itself: no allocation, no refcount. Decoder slab views
 // (the constructor taking a `shared_ptr<Bytes>`) stay shared views at any

@@ -3,9 +3,9 @@
 //
 // `SyncNetwork::deliver_round` merges all staged outboxes into one
 // canonically ordered message list (sender id, send sequence within a
-// sender, byzantine traffic last) and then -- when a RoundRouter is
-// installed -- hands that list to the router before anything downstream
-// observes it. The router carries the round across a transport (the
+// sender, a broadcast as one message per recipient in recipient order) and
+// then -- when a RoundRouter is installed -- hands that list to the router
+// before anything downstream observes it. The router carries the round across a transport (the
 // service runtime sends every message through the epoll daemon over
 // UDS/TCP, see src/svc) and returns the delivered list; the transcript,
 // the recipient inboxes, and the per-round observer all consume the

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <exception>
+#include <iterator>
 #include <new>
-#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -266,14 +266,21 @@ struct SyncNetwork::Runner {
 
   // Runner-local staging and metrics: written only by the runner's own
   // fiber while Running, read by the controller only while the runner is
-  // parked at the barrier or finished. The controller merges outboxes in
-  // canonical runner-table order at the barrier, so delivery order never
-  // depends on which party happened to send first.
+  // parked at the barrier or finished. The controller drains outboxes in
+  // sender order at the barrier (runner-table order within a party), so
+  // delivery order never depends on which party happened to send first.
+  // A `send_all` is one entry addressed to kToAll, metered as `fanout`
+  // sends and fanned out to the recipients only where a per-recipient
+  // copy is used.
+  static constexpr int kToAll = -1;
   struct Staged {
-    int to;
+    int to;  // a party id, or kToAll
     Payload payload;
   };
   std::vector<Staged> outbox;
+  // Recipients of a broadcast: n, or for a split-brain half the ids of
+  // `allowed` in [0, n). Set at run start.
+  std::uint64_t fanout = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t messages_sent = 0;
   // Phase meter: every phase path this runner has entered, interned as a
@@ -349,7 +356,9 @@ struct SyncNetwork::Impl {
   std::vector<char> crash_started;    // parallel to plan.crashes
   std::vector<char> crash_recovered;  // parallel to plan.crashes
 
-  /// One delivered (from, to, payload-view) message on the wire.
+  /// One drained outbox entry on the wire: a message from `from` to `to`,
+  /// or a broadcast (`to == Runner::kToAll`) that stands for one message
+  /// to each party 0..n-1, in that order, at its own position.
   struct Triplet {
     int from;
     int to;
@@ -357,11 +366,13 @@ struct SyncNetwork::Impl {
   };
 
   // Pooled per-round scratch: cleared (capacity kept) instead of
-  // reallocated every round.
+  // reallocated every round. `wire` is in sender order; `wire_messages`
+  // counts the messages it stands for once broadcasts are fanned out.
   std::vector<Triplet> wire;
+  std::size_t wire_messages = 0;
   std::vector<Triplet> byz_wire;
-  std::vector<Triplet> wire_by_sender;       // counting-sort target
-  std::vector<std::size_t> sender_start;     // counting-sort offsets
+  // runner -> its [begin, end) span of `wire`, for the traffic view.
+  std::vector<std::pair<std::size_t, std::size_t>> runner_wire;
   std::vector<RoundView::Sent> honest_traffic;  // only with scripted parties
   // party id -> indices into runners / scripted (built once per run);
   // routing one round is O(messages), not O(messages * parties).
@@ -383,6 +394,48 @@ struct SyncNetwork::Impl {
     }
     runner_msg_count.assign(runners.size(), 0);
     scripted_msg_count.assign(scripted.size(), 0);
+    runner_wire.assign(runners.size(), {0, 0});
+    for (auto& r : runners) {
+      r->fanout = static_cast<std::uint64_t>(n);
+      if (r->allowed) {
+        r->fanout = static_cast<std::uint64_t>(
+            std::count_if(r->allowed->begin(), r->allowed->end(),
+                          [this](int to) { return to >= 0 && to < n; }));
+      }
+    }
+  }
+
+  /// Meters one staged entry that stands for `copies` sends of `size`
+  /// bytes each, exactly as `copies` single sends would be metered.
+  void meter(Runner& r, std::uint64_t size, std::uint64_t copies,
+             const char* kind) {
+    const std::uint64_t bytes = size * copies;
+    r.bytes_sent += bytes;
+    r.messages_sent += copies;
+    Runner::PhaseNode& node = r.phase_nodes[r.phase_open];
+    node.bytes += bytes;
+    node.sent = true;
+    if (tracer != nullptr) {
+      tracer->charge(r.obs_track, bytes, copies);
+      // Per-(party, phase, message-kind) attribution; the party is the track.
+      auto k = std::find_if(node.kinds.begin(), node.kinds.end(),
+                            [kind](const auto& t) { return t.kind == kind; });
+      if (k == node.kinds.end()) k = node.kinds.insert(k, {kind});
+      k->bytes += bytes;
+      k->messages += copies;
+      tracer->observe(r.obs_track, "send.bytes", size, copies);
+    }
+  }
+
+  /// Calls `fn(to)` for every recipient of wire entry `m`: `m.to`, or each
+  /// party 0..n-1 for a broadcast.
+  template <class Fn>
+  void for_each_recipient(const Triplet& m, Fn&& fn) const {
+    if (m.to != Runner::kToAll) {
+      fn(m.to);
+      return;
+    }
+    for (int to = 0; to < n; ++to) fn(to);
   }
 
   /// Updates crash-window bookkeeping for slice `round` and marks runners
@@ -427,18 +480,19 @@ struct SyncNetwork::Impl {
     return !r.crash_unwind && !plan.empty() && plan.crashed(r.party, round);
   }
 
-  /// Removes cut/partitioned traffic from `v` (metering already happened:
-  /// the sender pays for bytes the network loses).
-  void filter_cut_links(std::vector<Triplet>& v, std::size_t round) {
-    if (plan.cuts.empty() && plan.partitions.empty()) return;
-    const auto cut = [&](const Triplet& m) {
-      return plan.link_cut(m.from, m.to, round);
-    };
-    const auto first = std::remove_if(v.begin(), v.end(), cut);
-    faults.messages_dropped +=
-        static_cast<std::uint64_t>(std::distance(first, v.end()));
-    v.erase(first, v.end());
+  bool has_link_faults() const {
+    return !plan.cuts.empty() || !plan.partitions.empty();
   }
+
+  /// True iff the link from -> to is cut or partitioned at `round`; counts
+  /// the lost message (metering already happened: the sender pays for
+  /// bytes the network loses).
+  bool drop_cut(int from, int to, std::size_t round) {
+    if (!plan.link_cut(from, to, round)) return false;
+    ++faults.messages_dropped;
+    return true;
+  }
+
 
   /// Permutes the freshly routed inboxes of shuffle-covered recipients with
   /// a per-(seed, party, round) stream: deterministic, and identical for
@@ -469,60 +523,99 @@ struct SyncNetwork::Impl {
     }
   }
 
-  /// Drains all staged outboxes into `wire` as (from, to, payload) triplets
-  /// in canonical order -- runner-table order, send order within a runner --
-  /// and sums the bytes/messages honest runners staged. Payloads move; no
-  /// copies.
-  void drain_outboxes(std::uint64_t* honest_bytes,
+  /// Drains all staged outboxes into `wire` in sender order -- party
+  /// 0..n-1, runner-table order within a party, send order within a
+  /// runner -- and sums the bytes/messages honest runners staged. Payloads
+  /// move; no copies. A broadcast stays one entry unless it must be fanned
+  /// out here: a split-brain half reaches only its own recipients, and
+  /// cut or partitioned links (when the plan has any) drop single messages.
+  void drain_outboxes(std::size_t round, std::uint64_t* honest_bytes,
                       std::uint64_t* honest_msgs) {
     wire.clear();
-    for (auto& r : runners) {
-      for (auto& staged : r->outbox) {
-        if (r->honest) {
-          *honest_bytes += staged.payload.size();
-          *honest_msgs += 1;
+    wire_messages = 0;
+    const bool link_faults = has_link_faults();
+    const auto put = [&](int from, int to, Payload payload) {
+      if (link_faults && drop_cut(from, to, round)) return;
+      wire.push_back({from, to, std::move(payload)});
+      ++wire_messages;
+    };
+    for (const auto& of_party : runners_of_party) {
+      for (const std::size_t i : of_party) {
+        Runner& r = *runners[i];
+        runner_wire[i].first = wire.size();
+        for (Runner::Staged& staged : r.outbox) {
+          const bool all = staged.to == Runner::kToAll;
+          if (r.honest) {
+            const std::uint64_t copies = all ? r.fanout : 1;
+            *honest_bytes += staged.payload.size() * copies;
+            *honest_msgs += copies;
+          }
+          if (!all) {
+            put(r.party, staged.to, std::move(staged.payload));
+          } else if (r.allowed || link_faults) {
+            for (int to = 0; to < n; ++to) {
+              if (!r.allowed || r.allowed->contains(to)) {
+                put(r.party, to, staged.payload);
+              }
+            }
+          } else {
+            wire.push_back({r.party, Runner::kToAll, std::move(staged.payload)});
+            wire_messages += static_cast<std::size_t>(n);
+          }
         }
-        wire.push_back({r->party, staged.to, std::move(staged.payload)});
+        runner_wire[i].second = wire.size();
+        r.outbox.clear();
       }
-      r->outbox.clear();
     }
   }
 
-  /// Orders `wire` by sender id, stable within a sender, with a counting
-  /// sort into a reused buffer (no per-round allocation). Runner outboxes
-  /// drain in runner-table order, and callers often register runners out
-  /// of id order (Π_ℤ runs install the corrupted parties first): on
-  /// the Π_ℤ benchmark workloads about 70% of rounds drain out of sender
-  /// order (EXPERIMENTS.md T-msg), so there is no sorted-input shortcut.
-  void sort_wire_by_sender() {
-    sender_start.assign(static_cast<std::size_t>(n) + 1, 0);
+  /// Merges the scripted parties' sends into the sender-ordered `wire`.
+  /// They arrive in strategy order, so they are put in sender order first;
+  /// the sort and the merge are stable, so each strategy's sends keep
+  /// their order.
+  void merge_byzantine() {
+    const auto by_sender = [](const Triplet& a, const Triplet& b) {
+      return a.from < b.from;
+    };
+    std::stable_sort(byz_wire.begin(), byz_wire.end(), by_sender);
+    const auto honest_end = static_cast<std::ptrdiff_t>(wire.size());
+    wire.insert(wire.end(), std::make_move_iterator(byz_wire.begin()),
+                std::make_move_iterator(byz_wire.end()));
+    std::inplace_merge(wire.begin(), wire.begin() + honest_end, wire.end(),
+                       by_sender);
+    wire_messages += byz_wire.size();
+    byz_wire.clear();
+  }
+
+  /// One transcript round of the fanned-out `wire` (payload views).
+  Transcript::Round transcript_round(std::uint64_t honest_bytes) const {
+    Transcript::Round rec;
+    rec.honest_bytes = honest_bytes;
+    rec.messages.reserve(wire_messages);
     for (const Triplet& m : wire) {
-      ++sender_start[static_cast<std::size_t>(m.from) + 1];
+      for_each_recipient(m, [&](int to) {
+        rec.messages.push_back({m.from, to, m.payload});
+      });
     }
-    std::partial_sum(sender_start.begin(), sender_start.end(),
-                     sender_start.begin());
-    wire_by_sender.resize(wire.size());
-    for (Triplet& m : wire) {
-      wire_by_sender[sender_start[static_cast<std::size_t>(m.from)]++] =
-          std::move(m);
-    }
-    std::swap(wire, wire_by_sender);
-    wire_by_sender.clear();
+    return rec;
   }
 
-  /// Carries the canonically sorted `wire` across the installed
-  /// RoundRouter (no-op without one). The transcript and the inboxes
-  /// consume the payloads the transport returned, so a daemon that
-  /// corrupts bytes surfaces as a transcript mismatch in the conformance
-  /// suite. Returns false on transport failure (`transport_error` set);
-  /// addressing/order mismatches are treated as transport failures too,
-  /// keeping run_report()'s never-throws contract against a buggy daemon.
+  /// Carries the canonically ordered `wire` across the installed
+  /// RoundRouter (no-op without one), one WireMessage per recipient. The
+  /// wire then holds what the transport returned, one entry per message,
+  /// and the transcript and the inboxes consume those payloads, so a
+  /// daemon that corrupts bytes surfaces as a transcript mismatch in the
+  /// conformance suite. Returns false on transport failure
+  /// (`transport_error` set); addressing/order mismatches are treated as
+  /// transport failures too, keeping run_report()'s never-throws contract
+  /// against a buggy daemon.
   bool route_wire(std::size_t round) {
     if (router == nullptr) return true;
     std::vector<WireMessage> staged;
-    staged.reserve(wire.size());
-    for (Triplet& m : wire) {
-      staged.push_back({m.from, m.to, std::move(m.payload)});
+    staged.reserve(wire_messages);
+    for (const Triplet& m : wire) {
+      for_each_recipient(
+          m, [&](int to) { staged.push_back({m.from, to, m.payload}); });
     }
     std::optional<std::vector<WireMessage>> routed =
         router->route(round, std::move(staged));
@@ -530,20 +623,29 @@ struct SyncNetwork::Impl {
       transport_error = router->failure_reason();
       return false;
     }
-    if (routed->size() != wire.size()) {
+    if (routed->size() != wire_messages) {
       transport_error = "round router returned " +
                         std::to_string(routed->size()) + " messages, staged " +
-                        std::to_string(wire.size());
+                        std::to_string(wire_messages);
       return false;
     }
-    for (std::size_t i = 0; i < wire.size(); ++i) {
-      WireMessage& m = (*routed)[i];
-      if (m.from != wire[i].from || m.to != wire[i].to) {
-        transport_error = "round router reordered or readdressed message " +
-                          std::to_string(i);
-        return false;
-      }
-      wire[i].payload = std::move(m.payload);
+    std::size_t i = 0;
+    std::optional<std::size_t> readdressed;
+    for (const Triplet& m : wire) {
+      for_each_recipient(m, [&](int to) {
+        const WireMessage& d = (*routed)[i];
+        if (!readdressed && (d.from != m.from || d.to != to)) readdressed = i;
+        ++i;
+      });
+    }
+    if (readdressed) {
+      transport_error = "round router reordered or readdressed message " +
+                        std::to_string(*readdressed);
+      return false;
+    }
+    wire.clear();
+    for (WireMessage& m : *routed) {
+      wire.push_back({m.from, m.to, std::move(m.payload)});
     }
     return true;
   }
@@ -554,7 +656,10 @@ struct SyncNetwork::Impl {
   bool deliver_round(std::size_t round) {
     std::uint64_t round_honest_bytes = 0;
     std::uint64_t round_honest_msgs = 0;
-    drain_outboxes(&round_honest_bytes, &round_honest_msgs);
+    // Environment link faults sit *below* the adversary: the drain drops
+    // cut traffic before the rushing adversary observes the round and
+    // before the transcript records it.
+    drain_outboxes(round, &round_honest_bytes, &round_honest_msgs);
     if (tracer != nullptr) {
       // The innermost open engine span is this round's span.
       tracer->charge(obs_engine_track, round_honest_bytes, round_honest_msgs);
@@ -562,18 +667,21 @@ struct SyncNetwork::Impl {
     if (round_observer != nullptr) {
       round_observer->on_round(round, round_honest_bytes, round_honest_msgs);
     }
-    // Environment link faults sit *below* the adversary: cut traffic
-    // vanishes before the rushing adversary observes the round and before
-    // the transcript records it.
-    filter_cut_links(wire, round);
     // Scripted byzantine parties act last within the round (rushing).
     // Their sends are staged separately: honest_traffic points into `wire`,
-    // which must stay unmodified while strategies run. Without scripted
-    // parties nobody reads it, so it is not built.
+    // which must stay unmodified while strategies run. It lists the
+    // round's messages in runner-table order, each runner's span of `wire`
+    // fanned out. Without scripted parties nobody reads it, so it is not
+    // built.
     honest_traffic.clear();
     if (!scripted.empty()) {
-      for (const Triplet& m : wire) {
-        honest_traffic.push_back({m.from, m.to, &m.payload});
+      for (const auto& [begin, end] : runner_wire) {
+        for (std::size_t w = begin; w < end; ++w) {
+          const Triplet& m = wire[w];
+          for_each_recipient(m, [&](int to) {
+            honest_traffic.push_back({m.from, to, &m.payload});
+          });
+        }
       }
     }
     byz_wire.clear();
@@ -595,12 +703,13 @@ struct SyncNetwork::Impl {
         byz_wire.push_back({s->party, to, Payload(std::move(payload))});
       });
     }
-    filter_cut_links(byz_wire, round);
-    for (auto& m : byz_wire) wire.push_back(std::move(m));
-    byz_wire.clear();
+    if (has_link_faults()) {
+      std::erase_if(byz_wire, [&](const Triplet& m) {
+        return drop_cut(m.from, m.to, round);
+      });
+    }
+    if (!byz_wire.empty()) merge_byzantine();
 
-    // Route, ordered by sender id (stable within a sender).
-    sort_wire_by_sender();
     // Transport seam: the merged round leaves the process here. Everything
     // below -- transcript, inboxes -- consumes what came back off the wire.
     if (!route_wire(round)) {
@@ -608,20 +717,20 @@ struct SyncNetwork::Impl {
       return false;
     }
     if (transcript != nullptr) {
-      Transcript::Round rec;
-      rec.honest_bytes = round_honest_bytes;
-      rec.messages.reserve(wire.size());
-      for (const Triplet& m : wire) {
-        rec.messages.push_back({m.from, m.to, m.payload});  // view copy
-      }
-      transcript->rounds.push_back(std::move(rec));
+      transcript->rounds.push_back(transcript_round(round_honest_bytes));
     }
     // Two-pass routing: count, reserve, fill -- every inbox is one exact
     // allocation and every delivered payload a view of the sender's buffer
-    // or an inline copy.
+    // or an inline copy. A broadcast reaches every runner and every
+    // scripted party once.
     std::fill(runner_msg_count.begin(), runner_msg_count.end(), 0);
     std::fill(scripted_msg_count.begin(), scripted_msg_count.end(), 0);
+    std::size_t broadcasts = 0;
     for (const Triplet& m : wire) {
+      if (m.to == Runner::kToAll) {
+        ++broadcasts;
+        continue;
+      }
       const auto to = static_cast<std::size_t>(m.to);
       for (const std::size_t i : runners_of_party[to]) ++runner_msg_count[i];
       for (const std::size_t i : scripted_of_party[to]) {
@@ -630,13 +739,31 @@ struct SyncNetwork::Impl {
     }
     for (std::size_t i = 0; i < runners.size(); ++i) {
       runners[i]->inbox_next.clear();
-      runners[i]->inbox_next.reserve(runner_msg_count[i]);
+      runners[i]->inbox_next.reserve(runner_msg_count[i] + broadcasts);
     }
     for (std::size_t i = 0; i < scripted.size(); ++i) {
       scripted[i]->inbox_next.clear();
-      scripted[i]->inbox_next.reserve(scripted_msg_count[i]);
+      scripted[i]->inbox_next.reserve(scripted_msg_count[i] + broadcasts);
+    }
+    // A recipient inside a crash window when this delivery would be
+    // consumed (slice round+1) never sees it: a frozen runner's inbox_next
+    // is overwritten by later rounds, a crash-stopped one is gone. The
+    // message stays in the transcript (the network delivered it; the party
+    // was dead) -- only the counter records the loss.
+    const auto crashed_next = [&](int to) {
+      return !plan.empty() && plan.crashed(to, round + 1);
+    };
+    std::uint64_t broadcast_losses = 0;
+    if (!plan.empty() && broadcasts != 0) {
+      for (int to = 0; to < n; ++to) broadcast_losses += crashed_next(to);
     }
     for (const Triplet& m : wire) {
+      if (m.to == Runner::kToAll) {
+        for (auto& r : runners) r->inbox_next.push_back({m.from, m.payload});
+        for (auto& s : scripted) s->inbox_next.push_back({m.from, m.payload});
+        faults.messages_dropped += broadcast_losses;
+        continue;
+      }
       const auto to = static_cast<std::size_t>(m.to);
       for (const std::size_t i : runners_of_party[to]) {
         runners[i]->inbox_next.push_back({m.from, m.payload});
@@ -644,14 +771,7 @@ struct SyncNetwork::Impl {
       for (const std::size_t i : scripted_of_party[to]) {
         scripted[i]->inbox_next.push_back({m.from, m.payload});
       }
-      // A recipient inside a crash window when this delivery would be
-      // consumed (slice round+1) never sees it: a frozen runner's
-      // inbox_next is overwritten by later rounds, a crash-stopped one is
-      // gone. The message stays in the transcript (the network delivered
-      // it; the party was dead) -- only the counter records the loss.
-      if (!plan.empty() && plan.crashed(m.to, round + 1)) {
-        ++faults.messages_dropped;
-      }
+      if (crashed_next(m.to)) ++faults.messages_dropped;
     }
     if (!plan.empty()) apply_shuffles(round);
     for (auto& s : scripted) {
@@ -668,16 +788,9 @@ struct SyncNetwork::Impl {
     if (transcript == nullptr) return;
     std::uint64_t leftover_honest_bytes = 0;
     std::uint64_t leftover_honest_msgs = 0;
-    drain_outboxes(&leftover_honest_bytes, &leftover_honest_msgs);
-    filter_cut_links(wire, round);
+    drain_outboxes(round, &leftover_honest_bytes, &leftover_honest_msgs);
     if (wire.empty()) return;
-    sort_wire_by_sender();
-    Transcript::Round rec;
-    rec.honest_bytes = leftover_honest_bytes;
-    for (Triplet& m : wire) {
-      rec.messages.push_back({m.from, m.to, std::move(m.payload)});
-    }
-    transcript->rounds.push_back(std::move(rec));
+    transcript->rounds.push_back(transcript_round(leftover_honest_bytes));
     wire.clear();
   }
 
@@ -728,10 +841,7 @@ void PartyContext::send(int to, Payload payload) {
 }
 
 void PartyContext::send_all(Payload payload) {
-  // One shared buffer for all n recipients: each stage is a refcount bump.
-  for (int to = 0; to < n(); ++to) {
-    net_.runner_send(runner_, to, payload, "broadcast");
-  }
+  net_.runner_send_all(runner_, std::move(payload));
 }
 
 std::vector<Envelope> PartyContext::advance() {
@@ -842,27 +952,27 @@ void SyncNetwork::runner_send(std::size_t runner_index, int to,
   runner_stage(runner_index, to, std::move(payload), kind);
 }
 
+void SyncNetwork::runner_send_all(std::size_t runner_index,
+                                  Payload payload) {
+  Runner& r = *impl_->runners[runner_index];
+  if (r.tap != nullptr) {
+    // SendTap's contract: one on_send per recipient.
+    for (int to = 0; to < n_; ++to) {
+      runner_send(runner_index, to, payload, "broadcast");
+    }
+    return;
+  }
+  if (r.fanout == 0) return;  // a split-brain half with no recipients
+  impl_->meter(r, payload.size(), r.fanout, "broadcast");
+  r.outbox.push_back({Runner::kToAll, std::move(payload)});
+}
+
 void SyncNetwork::runner_stage(std::size_t runner_index, int to,
                                Payload payload, const char* kind) {
   Runner& r = *impl_->runners[runner_index];
   require(to >= 0 && to < n_, "PartyContext::send: recipient out of range");
   if (r.allowed && !r.allowed->contains(to)) return;  // split-brain filter
-  const std::uint64_t size = payload.size();
-  r.bytes_sent += size;
-  r.messages_sent += 1;
-  Runner::PhaseNode& node = r.phase_nodes[r.phase_open];
-  node.bytes += size;
-  node.sent = true;
-  if (obs::Tracer* tr = impl_->tracer; tr != nullptr) {
-    tr->charge(r.obs_track, size, 1);
-    // Per-(party, phase, message-kind) attribution; the party is the track.
-    auto k = std::find_if(node.kinds.begin(), node.kinds.end(),
-                          [kind](const auto& t) { return t.kind == kind; });
-    if (k == node.kinds.end()) k = node.kinds.insert(k, {kind});
-    k->bytes += size;
-    k->messages += 1;
-    tr->observe(r.obs_track, "send.bytes", size);
-  }
+  impl_->meter(r, payload.size(), 1, kind);
   r.outbox.push_back({to, std::move(payload)});
 }
 

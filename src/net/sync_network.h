@@ -32,10 +32,14 @@
 // protocols that keep advancing; it is the engine's termination guard.
 //
 // Wire traffic is carried as immutable `Payload` values (see
-// net/payload.h): `send_all` stages one buffer shared by all n recipients
-// (a payload of at most `Payload::kInline` bytes is copied inline instead),
-// mailboxes and the Transcript hold views, and `RunStats` reports the
-// number of deep copies the substrate performed -- zero on the honest path.
+// net/payload.h). A `send_all` is one staged entry, metered as n sends; the
+// controller carries it as one item through the drain and the merge and
+// fans it out into n messages only where a recipient's copy is used (the
+// inboxes, the Transcript, the rushing adversary's view, link faults and
+// the RoundRouter). Every copy is a view of the one buffer (a payload of
+// at most `Payload::kInline` bytes is copied inline instead), and
+// `RunStats` reports the number of deep copies the substrate performed --
+// zero on the honest path.
 //
 // Byzantine parties come in three flavours:
 //  * scripted strategies (`ByzantineStrategy`) that fabricate arbitrary bytes,
@@ -101,10 +105,11 @@ struct Envelope {
 };
 
 /// Everything observable about one execution, in canonical order: per round,
-/// the delivered messages (after the sender-id/sequence merge, byzantine
-/// traffic last) and the bytes the honest parties staged. Repeated runs of
-/// one configuration -- solo, sharded or wired -- must compare equal.
-/// Messages hold payload *views*; equality is content equality.
+/// the delivered messages (in sender-id order, send order within a sender,
+/// a broadcast as n messages in recipient order) and the bytes the honest
+/// parties staged. Repeated runs of one configuration -- solo, sharded or
+/// wired -- must compare equal. Messages hold payload *views*; equality is
+/// content equality.
 struct Transcript {
   struct Msg {
     int from = -1;
@@ -150,10 +155,12 @@ class PartyContext {
   /// Stage a message to party `to` (0-based) for delivery at this round's end.
   void send(int to, Bytes payload);
   void send(int to, Payload payload);
-  /// Stage the same message to all n parties (including self). One shared
-  /// buffer backs all n deliveries. The rvalue/Payload overloads are
-  /// zero-copy; the lvalue overload deep-copies once (counted in
-  /// `RunStats::payload_copies`) -- move at the call site to avoid it.
+  /// Stage the same message to all n parties (including self): one staged
+  /// entry, metered as n sends and fanned out at delivery, where every
+  /// recipient gets a view of the one buffer. A tapped runner's tap still
+  /// sees n sends. The rvalue/Payload overloads are zero-copy; the lvalue
+  /// overload deep-copies once (counted in `RunStats::payload_copies`) --
+  /// move at the call site to avoid it.
   void send_all(Bytes&& payload) { send_all(Payload(std::move(payload))); }
   void send_all(const Bytes& payload) { send_all(Payload::copy_of(payload)); }
   void send_all(Payload payload);
@@ -429,6 +436,7 @@ class SyncNetwork {
 
   void runner_send(std::size_t runner_index, int to, Payload payload,
                    const char* kind);
+  void runner_send_all(std::size_t runner_index, Payload payload);
   void runner_stage(std::size_t runner_index, int to, Payload payload,
                     const char* kind);
   std::vector<Envelope> runner_advance(std::size_t runner_index);

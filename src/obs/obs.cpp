@@ -18,11 +18,11 @@ std::uint64_t monotonic_ns() {
 
 }  // namespace
 
-void Histogram::observe(std::uint64_t value) {
+void Histogram::observe(std::uint64_t value, std::uint64_t times) {
   const int bucket = value == 0 ? 0 : 64 - std::countl_zero(value);
-  buckets[static_cast<std::size_t>(bucket)] += 1;
-  count += 1;
-  sum += value;
+  buckets[static_cast<std::size_t>(bucket)] += times;
+  count += times;
+  sum += value * times;
 }
 
 void Histogram::merge(const Histogram& other) {
@@ -42,12 +42,13 @@ void MetricsRegistry::count(std::string_view name, std::uint64_t delta) {
   }
 }
 
-void MetricsRegistry::observe(std::string_view name, std::uint64_t value) {
+void MetricsRegistry::observe(std::string_view name, std::uint64_t value,
+                              std::uint64_t times) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), Histogram{}).first;
   }
-  it->second.observe(value);
+  it->second.observe(value, times);
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
@@ -138,8 +139,9 @@ void Tracer::count(int track, std::string_view name, std::uint64_t delta) {
   track_at(track).metrics.count(name, delta);
 }
 
-void Tracer::observe(int track, std::string_view name, std::uint64_t value) {
-  track_at(track).metrics.observe(name, value);
+void Tracer::observe(int track, std::string_view name, std::uint64_t value,
+                     std::uint64_t times) {
+  track_at(track).metrics.observe(name, value, times);
 }
 
 const std::vector<SpanRecord>& Tracer::spans(int track) const {

@@ -50,7 +50,9 @@ struct Histogram {
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
 
-  void observe(std::uint64_t value);
+  /// Records `value` `times` times: the same buckets, count and sum as
+  /// `times` single observations.
+  void observe(std::uint64_t value, std::uint64_t times = 1);
   void merge(const Histogram& other);
 };
 
@@ -59,7 +61,8 @@ struct Histogram {
 class MetricsRegistry {
  public:
   void count(std::string_view name, std::uint64_t delta);
-  void observe(std::string_view name, std::uint64_t value);
+  void observe(std::string_view name, std::uint64_t value,
+               std::uint64_t times = 1);
 
   const std::map<std::string, std::uint64_t, std::less<>>& counters() const {
     return counters_;
@@ -126,7 +129,9 @@ class Tracer {
 
   // --- Metrics (same single-writer-per-track rule).
   void count(int track, std::string_view name, std::uint64_t delta);
-  void observe(int track, std::string_view name, std::uint64_t value);
+  /// Records `value` into histogram `name`, `times` times (one lookup).
+  void observe(int track, std::string_view name, std::uint64_t value,
+               std::uint64_t times = 1);
 
   // --- Post-run queries (all contexts quiesced; open spans are ignored).
   const std::vector<SpanRecord>& spans(int track) const;

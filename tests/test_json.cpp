@@ -69,5 +69,18 @@ TEST(ParseInt, AcceptsOnlyAWholeInRangeLiteral) {
                std::out_of_range);
 }
 
+TEST(ParseInt, ParseDoubleAcceptsOnlyAWholeFiniteLiteral) {
+  EXPECT_EQ(parse_double("1"), 1.0);
+  EXPECT_EQ(parse_double("0.25"), 0.25);
+  EXPECT_EQ(parse_double("-2.5"), -2.5);
+  EXPECT_EQ(parse_double("2e-3"), 2e-3);
+  // A prefix is not a value, and neither is a non-finite one.
+  for (const char* bad : {"", "1x", "x1", " 1", "1 ", "+1", "0x10", "1..5",
+                          "nan", "NaN", "inf", "-inf", "infinity"}) {
+    EXPECT_THROW(parse_double(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW(parse_double("1e999"), std::out_of_range);
+}
+
 }  // namespace
 }  // namespace coca::json

@@ -23,6 +23,7 @@
 #include "ba/phase_king.h"
 #include "ba/turpin_coan.h"
 #include "ca/fixed_length_ca.h"
+#include "obs/obs.h"
 #include "tests/support.h"
 #include "util/wire.h"
 
@@ -407,6 +408,231 @@ TEST(SyncNetwork, OutOfOrderRegistrationDeliversTheSameTranscript) {
     }
     EXPECT_EQ(honest, expected);
   }
+}
+
+// Passes every message through and counts the calls (SendTap's contract:
+// one on_send per recipient, also for a send_all).
+class CountingTap final : public SendTap {
+ public:
+  void on_send(std::size_t, int to, Payload payload,
+               const Emit& emit) override {
+    ++calls;
+    emit(to, std::move(payload));
+  }
+  std::uint64_t calls = 0;
+};
+
+// Records the rushing view it is shown and replays its first entry to
+// everyone, so the view also feeds the transcript.
+class TrafficRecorder final : public ByzantineStrategy {
+ public:
+  void on_round(const RoundView& view,
+                const std::function<void(int, Bytes)>& send) override {
+    for (const RoundView::Sent& m : *view.honest_traffic) {
+      seen.push_back({m.from, m.to, *m.payload});
+    }
+    if (view.honest_traffic->empty()) return;
+    const Bytes first = view.honest_traffic->front().payload->to_bytes();
+    for (int to = 0; to < view.n; ++to) send(to, first);
+  }
+  std::vector<Transcript::Msg> seen;
+};
+
+// Hands every round back unchanged and counts the messages it carried.
+class PassThroughRouter final : public RoundRouter {
+ public:
+  std::optional<std::vector<WireMessage>> route(
+      std::size_t, std::vector<WireMessage> staged) override {
+    messages += staged.size();
+    return staged;
+  }
+  std::uint64_t messages = 0;
+};
+
+TEST(SyncNetwork, SendAllMatchesPerRecipientSends) {
+  // A send_all is one staged entry that the engine fans out only where a
+  // recipient's copy is used; an explicit send(to) loop stages n entries.
+  // Under every engine feature that sees single messages, the two must be
+  // indistinguishable.
+  constexpr int kN = 6;
+  constexpr int kRounds = 4;
+  enum class Config {
+    kPlain,
+    kSplitBrain,
+    kTap,
+    kCutsAndPartition,
+    kShuffle,
+    kCrashRecovery,
+    kScripted,
+    kRouter,
+  };
+  using Inbox = std::vector<std::pair<int, Bytes>>;
+  struct Result {
+    Transcript transcript;
+    RunReport report;
+    std::vector<std::vector<Inbox>> inboxes;  // [party][round]
+    std::vector<Transcript::Msg> traffic_seen;
+    std::uint64_t tap_calls = 0;
+    std::uint64_t routed = 0;
+    obs::Histogram send_bytes;
+  };
+  FaultPlan link_faults;
+  link_faults.cuts.push_back({.from = 1, .to = 3, .from_round = 0,
+                              .until_round = 3});
+  link_faults.cuts.push_back({.from = 2, .to = 2, .from_round = 1});
+  link_faults.cuts.push_back({.from = 5, .to = 1, .from_round = 1});
+  link_faults.partitions.push_back({.side = {0, 4}, .from_round = 2,
+                                    .until_round = 4});
+  const auto execute = [&](Config config, bool broadcast) {
+    Result res;
+    res.inboxes.resize(kN);
+    // Each round: a zero-byte broadcast under its own phase, an inline
+    // 2-byte broadcast, a unicast, then a shared 40-byte broadcast; after
+    // the last round one leftover broadcast.
+    const auto protocol = [&res, broadcast](PartyContext& ctx) {
+      const auto bcast = [&](Bytes bytes) {
+        if (broadcast) {
+          ctx.send_all(std::move(bytes));
+          return;
+        }
+        const Payload p(std::move(bytes));
+        for (int to = 0; to < ctx.n(); ++to) ctx.send(to, p);
+      };
+      const auto id = static_cast<std::uint8_t>(ctx.id());
+      for (int r = 0; r < kRounds; ++r) {
+        const auto round = static_cast<std::uint8_t>(r);
+        {
+          auto empty = ctx.phase("empty");
+          bcast(Bytes{});
+        }
+        auto scope = ctx.phase(r % 2 == 0 ? "even" : "odd");
+        bcast(Bytes{id, round});
+        ctx.send((ctx.id() + 1) % ctx.n(), Bytes{0xEE, id, round});
+        bcast(Bytes(40, static_cast<std::uint8_t>(id * 16 + r)));
+        Inbox got;
+        for (const Envelope& e : ctx.advance()) {
+          got.emplace_back(e.from, e.payload.owned());
+        }
+        res.inboxes[ctx.id()].push_back(std::move(got));
+      }
+      bcast(Bytes{0x7F, id});
+    };
+    SyncNetwork net(kN, 2);
+    net.set_transcript(&res.transcript);
+    obs::Tracer tracer(obs::Tracer::Options{.timing = false});
+    net.set_tracer(&tracer);
+    auto tap = std::make_shared<CountingTap>();
+    auto recorder = std::make_shared<TrafficRecorder>();
+    PassThroughRouter router;
+    FaultPlan plan;
+    switch (config) {
+      case Config::kSplitBrain:
+        // Party 4's halves reach {0, 2} and the rest; party 5's second
+        // half reaches nobody.
+        net.set_split_brain(4, protocol, protocol, {0, 2});
+        net.set_split_brain(5, protocol, protocol, {0, 1, 2, 3, 4, 5});
+        break;
+      case Config::kTap:
+        net.set_byzantine_protocol(5, protocol, tap);
+        break;
+      case Config::kCutsAndPartition:
+        // Party 5 is scripted, so its traffic crosses the cuts too.
+        plan = link_faults;
+        net.set_byzantine(5, recorder);
+        break;
+      case Config::kShuffle:
+        plan.shuffles.push_back({.party = -1, .seed = 9});
+        break;
+      case Config::kCrashRecovery:
+        plan.crashes.push_back({.party = 3, .from_round = 1,
+                                .until_round = 3});
+        break;
+      case Config::kScripted:
+        net.set_byzantine(5, recorder);
+        break;
+      case Config::kRouter:
+        net.set_round_router(&router);
+        break;
+      case Config::kPlain:
+        break;
+    }
+    // Registered in reverse id order, as Pi_Z runs register the corrupted
+    // parties first, so the runner table is not in sender order.
+    for (int id = kN - 1; id >= 0; --id) {
+      const bool taken = (config == Config::kSplitBrain && id >= 4) ||
+                         ((config == Config::kTap ||
+                           config == Config::kScripted ||
+                           config == Config::kCutsAndPartition) &&
+                          id == 5);
+      if (!taken) net.set_honest(id, protocol);
+    }
+    if (!plan.empty()) net.set_fault_plan(plan);
+    res.report = net.run_report();
+    res.traffic_seen = recorder->seen;
+    res.tap_calls = tap->calls;
+    res.routed = router.messages;
+    res.send_bytes = tracer.merged_metrics().histograms().at("send.bytes");
+    return res;
+  };
+  for (const Config config :
+       {Config::kPlain, Config::kSplitBrain, Config::kTap,
+        Config::kCutsAndPartition, Config::kShuffle, Config::kCrashRecovery,
+        Config::kScripted, Config::kRouter}) {
+    SCOPED_TRACE(static_cast<int>(config));
+    const Result bcast = execute(config, true);
+    const Result loop = execute(config, false);
+    EXPECT_TRUE(bcast.report.all_decided());
+    const RunStats& a = bcast.report.stats;
+    const RunStats& b = loop.report.stats;
+    // Every round plus the trailing round of leftover sends.
+    ASSERT_EQ(bcast.transcript.rounds.size(), a.rounds + 1);
+    EXPECT_EQ(bcast.transcript, loop.transcript);
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(a.honest_bytes, b.honest_bytes);
+    EXPECT_EQ(a.honest_messages, b.honest_messages);
+    EXPECT_EQ(a.bytes_by_party, b.bytes_by_party);
+    EXPECT_EQ(a.phase_breakdown, b.phase_breakdown);
+    EXPECT_EQ(a.honest_bytes_by_phase, b.honest_bytes_by_phase);
+    EXPECT_EQ(a.payload_copies, b.payload_copies);
+    EXPECT_EQ(a.faults.crashes_injected, b.faults.crashes_injected);
+    EXPECT_EQ(a.faults.recoveries, b.faults.recoveries);
+    EXPECT_EQ(a.faults.rounds_missed, b.faults.rounds_missed);
+    EXPECT_EQ(a.faults.messages_dropped, b.faults.messages_dropped);
+    EXPECT_EQ(a.faults.inboxes_shuffled, b.faults.inboxes_shuffled);
+    EXPECT_EQ(bcast.inboxes, loop.inboxes);
+    EXPECT_EQ(bcast.traffic_seen, loop.traffic_seen);
+    EXPECT_EQ(bcast.tap_calls, loop.tap_calls);
+    EXPECT_EQ(bcast.routed, loop.routed);
+    EXPECT_EQ(bcast.send_bytes.buckets, loop.send_bytes.buckets);
+    EXPECT_EQ(bcast.send_bytes.count, loop.send_bytes.count);
+    EXPECT_EQ(bcast.send_bytes.sum, loop.send_bytes.sum);
+    // A zero-byte broadcast still opens its phase key.
+    EXPECT_EQ(a.phase_breakdown.count("empty"), 1u);
+    EXPECT_EQ(a.phase_breakdown.at("empty"), 0u);
+  }
+  // The configurations exercise what they name.
+  EXPECT_EQ(execute(Config::kTap, true).tap_calls,
+            static_cast<std::uint64_t>((kRounds * 3 + 1) * kN + kRounds));
+  // No delivered message crosses a link cut in its round.
+  const Result cut = execute(Config::kCutsAndPartition, true);
+  EXPECT_GT(cut.report.stats.faults.messages_dropped, 0u);
+  for (std::size_t r = 0; r < cut.transcript.rounds.size(); ++r) {
+    for (const Transcript::Msg& m : cut.transcript.rounds[r].messages) {
+      EXPECT_FALSE(link_faults.link_cut(m.from, m.to, r))
+          << m.from << " -> " << m.to << " in round " << r;
+    }
+  }
+  EXPECT_GT(execute(Config::kShuffle, true).report.stats.faults.inboxes_shuffled,
+            0u);
+  EXPECT_GT(execute(Config::kCrashRecovery, true)
+                .report.stats.faults.messages_dropped,
+            0u);
+  // The rushing view lists runners in table order: party 4 first.
+  const Result scripted = execute(Config::kScripted, true);
+  ASSERT_FALSE(scripted.traffic_seen.empty());
+  EXPECT_EQ(scripted.traffic_seen.front().from, 4);
+  EXPECT_EQ(scripted.traffic_seen.back().from, 0);
+  EXPECT_GT(execute(Config::kRouter, true).routed, 0u);
 }
 
 TEST(SyncNetwork, DeterministicAcrossRuns) {

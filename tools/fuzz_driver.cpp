@@ -350,7 +350,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     try {
       if (arg == "--budget-sec") {
-        options.budget_sec = std::stod(arg_value(argc, argv, i, arg));
+        options.budget_sec =
+            coca::parse_double(arg_value(argc, argv, i, arg));
       } else if (arg == "--iters") {
         options.max_cases =
             coca::parse_int<std::size_t>(arg_value(argc, argv, i, arg));

@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
     };
     try {
       if (arg == "--seconds") {
-        seconds = std::stod(next());
+        seconds = parse_double(next());
         if (seconds <= 0) usage("--seconds must be > 0");
       } else if (arg == "--sessions") {
         sessions = parse_int<int>(next());
