@@ -106,7 +106,7 @@ DegradationRow run_cell(const DegradationConfig& cfg, int t,
   c.faults = degradation_plan(kind, f, cfg.n);
   try {
     const FuzzOutcome out = execute_case(c);
-    row.graceful = true;  // the guarded engine returned structured outcomes
+    row.graceful = true;  // the engine returned structured outcomes
     row.invariants_held = out.verdict.ok();
     row.violations = out.verdict.violations;
     row.rounds = out.stats.rounds;

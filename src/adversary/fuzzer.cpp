@@ -60,8 +60,9 @@ namespace {
 /// times the paper's cost formula -- so that honest-side regressions and
 /// adversarially-induced blowups register as violations while every correct
 /// execution passes with an order of magnitude of headroom. Exceeding the
-/// round budget aborts the run (termination violation); exceeding the bits
-/// budget is recorded after the run.
+/// round budget ends the run (every honest party still running is a
+/// termination violation); exceeding the bits budget is recorded after the
+/// run.
 struct Budget {
   std::size_t rounds;
   std::uint64_t bits;
@@ -101,13 +102,6 @@ Budget budget_for(const FuzzCase& c) {
     throw Error("Fuzzer: unknown protocol '" + c.protocol + "'");
   }
   return b;
-}
-
-std::string classify_failure(const std::string& what) {
-  if (what.find("max round count exceeded") != std::string::npos) {
-    return "termination: " + what;
-  }
-  return "crash: " + what;
 }
 
 // ---------------------------------------------------------------------------
@@ -167,60 +161,42 @@ FuzzOutcome run_case(
       });
     }
   }
-  if (c.faults.empty()) {
-    // Legacy strict execution: the first error aborts the whole run. Every
-    // fault-free case -- in particular the entire v1 corpus -- keeps this
-    // path, so its transcripts and verdicts stay bit-identical.
-    try {
-      out.stats = net.run(budget.rounds);
-      out.terminated = true;
-    } catch (const std::exception& e) {
-      out.failure = e.what();
-      out.verdict.violations.push_back(classify_failure(out.failure));
-      return out;
+  // The engine survives per-party failures and reports structured
+  // outcomes. The oracle charges anything that happens to an excluded
+  // party to the adversary budget; a non-excluded party that aborts is a
+  // violation, and one that never decides registers below through its
+  // empty output slot. A timed-out run with every non-excluded party
+  // decided is fine -- frozen crashed runners and non-terminating
+  // corrupted ones legitimately keep the network alive until the round cap.
+  net::RunReport report = net.run_report(budget.rounds);
+  out.stats = std::move(report.stats);
+  out.outcomes = std::move(report.outcomes);
+  out.terminated = !report.timed_out;
+  out.failure = std::move(report.transport_error);
+  for (int id = 0; id < c.n; ++id) {
+    const auto uid = static_cast<std::size_t>(id);
+    if (is_excluded(c, id)) {
+      outputs[uid].reset();  // excluded outputs are not the oracle's business
+      continue;
     }
-    if (out.stats.honest_bits() > budget.bits) {
-      out.verdict.violations.push_back(
-          "honest-bits: " + std::to_string(out.stats.honest_bits()) +
-          " bits exceed the smoke budget " + std::to_string(budget.bits));
+    if (out.outcomes[uid].outcome == net::Outcome::kAborted) {
+      out.verdict.violations.push_back("crash: party " + std::to_string(id) +
+                                       ": " + out.outcomes[uid].evidence);
     }
-  } else {
-    // Guarded execution: the engine survives per-party failures and
-    // reports structured outcomes. The oracle charges anything that
-    // happens to an excluded party to the adversary budget; a non-excluded
-    // party that aborts is a violation, and one that never decides
-    // registers below through its empty output slot. A timed-out run with
-    // every non-excluded party decided is fine -- frozen crashed runners
-    // legitimately keep the network alive until the round cap.
-    const net::RunReport report = net.run_report(budget.rounds);
-    out.stats = report.stats;
-    out.outcomes = report.outcomes;
-    out.terminated = !report.timed_out;
-    for (int id = 0; id < c.n; ++id) {
-      const auto uid = static_cast<std::size_t>(id);
-      if (is_excluded(c, id)) {
-        outputs[uid].reset();  // excluded outputs are not the oracle's business
-        continue;
-      }
-      if (report.outcomes[uid].outcome == net::Outcome::kAborted) {
-        out.verdict.violations.push_back("crash: party " + std::to_string(id) +
-                                         ": " + report.outcomes[uid].evidence);
-      }
+  }
+  // BITS_l budget over the non-excluded parties only: charged parties are
+  // the adversary's to waste.
+  std::uint64_t bits = 0;
+  for (int id = 0; id < c.n; ++id) {
+    if (!is_excluded(c, id)) {
+      bits += out.stats.bytes_by_party[static_cast<std::size_t>(id)] * 8;
     }
-    // BITS_l budget over the non-excluded parties only: charged parties
-    // are the adversary's to waste.
-    std::uint64_t bits = 0;
-    for (int id = 0; id < c.n; ++id) {
-      if (!is_excluded(c, id)) {
-        bits += out.stats.bytes_by_party[static_cast<std::size_t>(id)] * 8;
-      }
-    }
-    if (bits > budget.bits) {
-      out.verdict.violations.push_back(
-          "honest-bits: " + std::to_string(bits) +
-          " non-excluded bits exceed the smoke budget " +
-          std::to_string(budget.bits));
-    }
+  }
+  if (bits > budget.bits) {
+    out.verdict.violations.push_back(
+        "honest-bits: " + std::to_string(bits) +
+        " non-excluded bits exceed the smoke budget " +
+        std::to_string(budget.bits));
   }
   for (int id = 0; id < c.n; ++id) {
     if (!is_excluded(c, id) && !outputs[static_cast<std::size_t>(id)]) {

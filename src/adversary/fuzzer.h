@@ -75,12 +75,10 @@ struct FuzzVerdict {
 
 struct FuzzOutcome {
   FuzzVerdict verdict;
-  net::RunStats stats;     // meaningful iff `terminated`
-  bool terminated = false;
-  std::string failure;     // exception text when the run aborted
-  /// Per-party outcomes from the guarded engine path; populated only for
-  /// cases with a non-empty FaultPlan (the fault-free path keeps the
-  /// legacy first-error-aborts execution, bit-identical to v1 replays).
+  net::RunStats stats;     // up to the last completed round
+  bool terminated = false; // neither the round budget nor the router ended it
+  std::string failure;     // the RoundRouter's reason if the transport failed
+  /// Per-party outcomes of the run (SyncNetwork::run_report), n entries.
   std::vector<net::PartyOutcome> outcomes;
 };
 

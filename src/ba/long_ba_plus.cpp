@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 
 #include "codec/reed_solomon.h"
 #include "crypto/merkle.h"
@@ -49,6 +50,20 @@ std::optional<Tuple> decode_tuple(std::span<const std::uint8_t> raw) {
   return Tuple{*index, std::move(*share), std::move(witness)};
 }
 
+/// This thread's code for the last (n, k) it was asked for. Every party of
+/// a run shares one thread and one (n, k), so the parity rows are built
+/// once per run shape instead of once per party. A party holds its own
+/// reference across advance(), so a later run with another shape on this
+/// thread cannot free the code from under a parked fiber.
+std::shared_ptr<const codec::ReedSolomon> code_for(std::size_t n,
+                                                   std::size_t k) {
+  thread_local std::shared_ptr<const codec::ReedSolomon> last;
+  if (!last || last->n() != n || last->k() != k) {
+    last = std::make_shared<const codec::ReedSolomon>(n, k);
+  }
+  return last;
+}
+
 }  // namespace
 
 MaybeBytes LongBAPlus::run(net::PartyContext& ctx,
@@ -62,7 +77,7 @@ MaybeBytes LongBAPlus::run(net::PartyContext& ctx,
   // into a Merkle root. The length prefix travels inside the coded payload
   // so that all honest parties reconstruct the exact byte length without
   // trusting any per-tuple metadata.
-  const codec::ReedSolomon rs(n, k);
+  const std::shared_ptr<const codec::ReedSolomon> rs = code_for(n, k);
   Bytes payload;
   {
     Writer w;
@@ -70,7 +85,7 @@ MaybeBytes LongBAPlus::run(net::PartyContext& ctx,
     w.raw(input);
     payload = std::move(w).take();
   }
-  const std::vector<Bytes> shares = rs.encode(payload);
+  const std::vector<Bytes> shares = rs->encode(payload);
   const MerkleTree tree = MerkleTree::build(shares);
   const Digest z = tree.root();
 
@@ -133,7 +148,7 @@ MaybeBytes LongBAPlus::run(net::PartyContext& ctx,
     if (share.size() == share_len) pool.emplace_back(idx, std::move(share));
   }
   const std::size_t padded_size = 2 * k * (share_len / 2);
-  const auto padded = rs.decode(pool, padded_size);
+  const auto padded = rs->decode(pool, padded_size);
   if (!padded) return std::nullopt;
   Reader r(*padded);
   const auto len = r.u64();

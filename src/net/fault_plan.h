@@ -140,7 +140,7 @@ struct FaultStats {
   std::uint64_t inboxes_shuffled = 0;  // inbox permutations applied
 };
 
-/// Structured per-party result of a guarded run (SyncNetwork::run_report).
+/// Structured per-party result of a run (SyncNetwork::run_report).
 enum class Outcome {
   kDecided,  // protocol function returned normally
   kTimedOut, // still running when the round cap hit

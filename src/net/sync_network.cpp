@@ -255,6 +255,7 @@ struct SyncNetwork::Runner {
   enum class State { AtBarrier, Running, Finished };
   State state = State::AtBarrier;
   std::exception_ptr error;
+  std::size_t error_round = 0;  // slice in which `error` was thrown
   std::vector<Envelope> inbox_next;  // written by controller pre-release
 
   // ---- FaultPlan plumbing. `crash_unwind` is set by the controller while
@@ -285,7 +286,7 @@ struct SyncNetwork::Runner {
   std::uint64_t messages_sent = 0;
   // Phase meter: every phase path this runner has entered, interned as a
   // tree whose root (node 0) stands for "no phase open". A send adds its
-  // size to the open node only; run_impl derives the leaf view (each node's
+  // size to the open node only; run_report derives the leaf view (each node's
   // own bytes) and the inclusive view (added to every ancestor) at run end.
   // `kinds` holds the tracer's per-(phase, message kind) counters, flushed
   // into the tracer's registry at run end too; empty on untraced runs.
@@ -814,6 +815,7 @@ void SyncNetwork::Runner::fiber_trampoline(void* arg) {
     r->crashed_by_plan = true;  // FaultPlan crash-stop; not an error.
   } catch (...) {
     r->error = std::current_exception();
+    r->error_round = r->impl->current_round;
   }
   r->state = State::Finished;
   switch_fiber(r->fiber, r->impl->controller, /*from_exits=*/true);
@@ -1038,24 +1040,24 @@ std::vector<Envelope> SyncNetwork::runner_advance(std::size_t runner_index) {
 }
 
 RunStats SyncNetwork::run(std::size_t max_rounds) {
-  std::exception_ptr first_error;
-  std::string failure_reason;
-  RunReport rep = run_impl(max_rounds, /*guarded=*/false, &first_error,
-                           &failure_reason);
-  if (first_error) std::rethrow_exception(first_error);
-  if (!failure_reason.empty()) throw Error(failure_reason);
+  RunReport rep = run_report(max_rounds);
+  // The party error that came first -- earliest round, then runner-table
+  // order -- wins over the round cap and a transport failure.
+  const Runner* first = nullptr;
+  for (const auto& r : impl_->runners) {
+    if (r->error && (first == nullptr || r->error_round < first->error_round)) {
+      first = r.get();
+    }
+  }
+  if (first != nullptr) std::rethrow_exception(first->error);
+  if (rep.transport_failed) {
+    throw Error("SyncNetwork: transport failure: " + rep.transport_error);
+  }
+  if (rep.timed_out) throw Error("SyncNetwork: max round count exceeded");
   return std::move(rep.stats);
 }
 
 RunReport SyncNetwork::run_report(std::size_t max_rounds) {
-  std::exception_ptr first_error;
-  std::string failure_reason;
-  return run_impl(max_rounds, /*guarded=*/true, &first_error, &failure_reason);
-}
-
-RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
-                                std::exception_ptr* first_error,
-                                std::string* failure_reason) {
   Impl& im = *impl_;
   for (int p = 0; p < n_; ++p) {
     require(im.role_of_party[p] != 0,
@@ -1095,7 +1097,6 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
 
   im.transport_error.clear();
   std::size_t rounds = 0;
-  std::exception_ptr failure;
   bool timed_out = false;
   bool transport_failed = false;
   const auto begin_round_span = [&] {
@@ -1113,16 +1114,10 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
     });
   };
   // Closes the round whose slices just ran and says whether the run goes
-  // on. Guarded mode is the exception barrier: a throwing party is already
-  // parked as Finished-with-error and the run simply continues without it.
-  // Legacy mode aborts the whole run on the first error.
+  // on. This is the exception barrier: a throwing party is already parked
+  // as Finished-with-error and the run simply continues without it.
   const auto close_round = [&] {
-    if (!guarded) {
-      for (auto& r : im.runners) {
-        if (r->error && !failure) failure = r->error;
-      }
-    }
-    if (failure || all_finished()) {
+    if (all_finished()) {
       end_round_span();
       return false;
     }
@@ -1183,7 +1178,7 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
   } catch (...) {
     escaped = std::current_exception();
   }
-  if (escaped || failure || timed_out) {
+  if (escaped || timed_out) {
     // Unwind every parked fiber so protocol stack frames run their
     // destructors before the stacks go back to the free list. This runs
     // outside the catch block: the fibers' own throws and catches must not
@@ -1205,16 +1200,7 @@ RunReport SyncNetwork::run_impl(std::size_t max_rounds, bool guarded,
     if (rp->fiber_stack) t_free_stacks.push_back(std::move(rp->fiber_stack));
   }
   if (escaped) std::rethrow_exception(escaped);
-  if (!failure && !timed_out) im.record_leftovers(rounds);
-
-  // Legacy (non-guarded) failure plumbing: the caller rethrows.
-  *first_error = failure;
-  if (!guarded && timed_out) {
-    *failure_reason =
-        transport_failed
-            ? "SyncNetwork: transport failure: " + im.transport_error
-            : "SyncNetwork: max round count exceeded";
-  }
+  if (!timed_out) im.record_leftovers(rounds);
 
   RunReport rep;
   rep.timed_out = timed_out;

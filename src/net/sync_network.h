@@ -315,8 +315,8 @@ struct RunStats {
   FaultStats faults;
 };
 
-/// Structured result of a guarded run (`run_report`): per-party outcomes
-/// instead of hang-or-throw. `stats.rounds` is always the last *completed*
+/// Structured result of a run (`run_report`): per-party outcomes instead
+/// of hang-or-throw. `stats.rounds` is always the last *completed*
 /// round, including when the round cap ended the run.
 struct RunReport {
   RunStats stats;
@@ -389,8 +389,8 @@ class SyncNetwork {
   /// `router->route()` before the transcript records them and inboxes
   /// consume them. Null (the default) keeps the in-memory path, which is
   /// bit-identical by construction. The router must outlive run(). Router
-  /// failure ends the run with `RunReport::transport_failed` (guarded) or
-  /// an Error carrying the router's reason (strict).
+  /// failure ends the run with `RunReport::transport_failed`, which run()
+  /// turns into an Error carrying the router's reason.
   void set_round_router(RoundRouter* router);
 
   /// Attaches an observability tracer (see obs/obs.h): the engine opens a
@@ -404,19 +404,23 @@ class SyncNetwork {
   /// either way.
   void set_tracer(obs::Tracer* tracer);
 
-  /// Runs to completion (all protocol-running parties returned).
-  /// Throws if any honest party threw, or if `max_rounds` is exceeded.
-  /// (Legacy strict mode: the first party error aborts the whole run.
-  /// Prefer `run_report` for fault-tolerant execution.)
-  RunStats run(std::size_t max_rounds = kDefaultMaxRounds);
-
-  /// Guarded run: every party step executes behind an exception barrier. A
-  /// throwing party is marked `AbortedWithEvidence` (the run continues
-  /// without it), a FaultPlan crash-stop marks it `Crashed`, hitting
-  /// `max_rounds` marks the stragglers `TimedOut` -- the
-  /// report always comes back with the last completed round in
-  /// `stats.rounds`; nothing short of a simulator bug throws.
+  /// Runs to completion: every party step executes behind an exception
+  /// barrier. A throwing party is marked `kAborted` with the exception
+  /// text as evidence (the run continues without it), a FaultPlan
+  /// crash-stop marks it `kCrashed`, and hitting `max_rounds` or a
+  /// RoundRouter failure marks the stragglers `kTimedOut`. The report
+  /// always comes back with the last completed round in `stats.rounds`;
+  /// only a throw on the controller's side (a scripted strategy, round
+  /// observer or router, or an unassigned role) escapes.
   RunReport run_report(std::size_t max_rounds = kDefaultMaxRounds);
+
+  /// `run_report` for callers that want an exception instead of outcomes.
+  /// If any protocol-running party threw -- honest or byzantine-protocol
+  /// (`set_byzantine_protocol`, split-brain halves) -- rethrows the error
+  /// of the one that threw first: earliest round, then runner-table order.
+  /// Otherwise throws Error on a transport failure or when `max_rounds` was
+  /// hit, and returns the stats of a completed run.
+  RunStats run(std::size_t max_rounds = kDefaultMaxRounds);
 
   static constexpr std::size_t kDefaultMaxRounds = 2'000'000;
 
@@ -430,9 +434,6 @@ class SyncNetwork {
   struct Impl;
 
   Runner& add_runner(int id, bool honest, ProtocolFn fn);
-  RunReport run_impl(std::size_t max_rounds, bool guarded,
-                     std::exception_ptr* first_error,
-                     std::string* failure_reason);
 
   void runner_send(std::size_t runner_index, int to, Payload payload,
                    const char* kind);

@@ -10,8 +10,8 @@
 //     RunStats, and oracle verdict are **bit-identical** to the fault-free
 //     baseline; or
 //   * the outage outlasted the retry budget, and the run resolved into a
-//     structured failure (exception text / PartyOutcomes) -- never a hang,
-//     never a silently different result.
+//     structured failure (the router's reason and per-party outcomes) --
+//     never a hang, never a silently different result.
 //
 // `ChaosReport::ok()` is that disjunction; anything else (diverging bits,
 // a wedged session) is a transport bug. tests/test_wire_recovery.cpp
@@ -44,11 +44,6 @@ struct ChaosOptions {
   int backoff_max_ms = 50;
   int heartbeat_interval_ms = 0;
   int heartbeat_misses = 3;
-  /// Daemon-side retention.
-  int resume_grace_ms = 10'000;
-  int replay_log_rounds = 8;
-  std::size_t replay_log_bytes = std::size_t{4} << 20;
-  bool adopt_unknown_resume = true;
   /// Destroy the daemon after the first client outage and boot a fresh one
   /// (fault-plan-free) on the same path: the rebind must go through
   /// unknown-token adoption and still converge bit-identically.
@@ -80,8 +75,9 @@ struct ChaosReport {
   adv::FuzzOutcome wired;
   /// Transcript + RunStats + verdict bit-identical to the baseline.
   bool identical = false;
-  /// Not identical, but the wired run resolved structurally (failure text
-  /// and/or per-party outcomes) -- the give-up contract.
+  /// Not identical, but the wired run did not terminate: it ended in
+  /// per-party outcomes (and the router's reason, on a transport failure)
+  /// -- the give-up contract.
   bool structured = false;
   /// First observed difference, for diagnostics (empty when identical).
   std::string mismatch;

@@ -16,6 +16,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Upper bound on session open/close handshakes.
+constexpr int kHandshakeTimeoutMs = 10'000;
+/// Root of the reconnect backoff's jitter stream.
+constexpr std::uint64_t kJitterSeed = 0xC0CA;
+
 Bytes u32_payload(std::uint32_t v) {
   return Bytes{static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
                static_cast<std::uint8_t>(v >> 16),
@@ -38,7 +43,7 @@ WireClient::WireClient(Fd fd, Target target, ClientOptions options)
       fd_(std::move(fd)) {
   options_.fault_plan.validate();
   fault_fuse_ = WireFaultFuse(options_.fault_plan);
-  set_socket_buffers(fd_.get(), options_.socket_buffer_bytes);
+  set_socket_buffers(fd_.get());
   reader_ = std::thread([this] { reader_loop(); });
 }
 
@@ -209,8 +214,7 @@ bool WireClient::reconnect_and_resume(const std::string& reason,
   }
   // Jitter stream: deterministic per (seed, outage ordinal), so chaos runs
   // replay identically yet concurrent clients decorrelate.
-  Rng rng(rec.jitter_seed +
-          stats_.outages.load(std::memory_order_relaxed));
+  Rng rng(kJitterSeed + stats_.outages.load(std::memory_order_relaxed));
   for (int attempt = 0; attempt < rec.max_attempts; ++attempt) {
     if (attempt > 0) {
       int base = std::max(1, rec.backoff_initial_ms);
@@ -234,7 +238,7 @@ bool WireClient::reconnect_and_resume(const std::string& reason,
     } catch (const Error&) {
       continue;  // daemon not (yet) back; next attempt after backoff
     }
-    set_socket_buffers(nfd.get(), options_.socket_buffer_bytes);
+    set_socket_buffers(nfd.get());
     if (target_.tcp) set_nodelay(nfd.get());
 
     // Swap the socket and snapshot the sessions to rebind. The send gate
@@ -558,7 +562,7 @@ std::unique_ptr<WireSession> WireClient::open(int n, int t) {
     throw Error("WireClient::open: send failed");
   }
   WireSession::Inbound& in = session->in_;
-  in.cv.wait_for(lk, std::chrono::milliseconds(options_.handshake_timeout_ms),
+  in.cv.wait_for(lk, std::chrono::milliseconds(kHandshakeTimeoutMs),
                  [&] { return in.open_acked || in.dead; });
   if (!in.open_acked) {
     const std::string why = in.dead ? in.error : "handshake timeout";
@@ -662,9 +666,7 @@ void WireSession::close() {
   }
   lk.lock();
   if (!sent) return;
-  in_.cv.wait_for(lk,
-                  std::chrono::milliseconds(
-                      client_.options_.handshake_timeout_ms),
+  in_.cv.wait_for(lk, std::chrono::milliseconds(kHandshakeTimeoutMs),
                   [&] { return in_.closed_acked || in_.dead; });
 }
 

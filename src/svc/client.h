@@ -61,11 +61,10 @@ struct RecoveryOptions {
   int max_attempts = 8;
   /// Capped exponential backoff between attempts (the first retry waits
   /// `backoff_initial_ms`, doubling up to `backoff_max_ms`), plus a seeded
-  /// jitter of up to half the base -- deterministic per jitter_seed, so
-  /// chaos runs replay byte-identically.
+  /// jitter of up to half the base -- seeded per outage ordinal, so chaos
+  /// runs replay byte-identically.
   int backoff_initial_ms = 20;
   int backoff_max_ms = 2'000;
-  std::uint64_t jitter_seed = 0xC0CA;
   /// Liveness probing: after this long with no inbound bytes the reader
   /// sends kPing; `heartbeat_misses` unanswered probes declare the daemon
   /// gone and trigger a reconnect. 0 disables probing (the round timeout
@@ -77,14 +76,9 @@ struct RecoveryOptions {
 struct ClientOptions {
   /// Upper bound on one round barrier (route() returns nullopt past it).
   /// With recovery enabled this is the *total* budget for the round,
-  /// including any reconnect/backoff/replay underneath it.
+  /// including any reconnect/backoff/replay underneath it. Session
+  /// open/close handshakes wait at most 10 s.
   int round_timeout_ms = 30'000;
-  /// Upper bound on session open/close handshakes.
-  int handshake_timeout_ms = 10'000;
-  /// SO_RCVBUF/SO_SNDBUF request (0 = kernel default); mirrors
-  /// DaemonOptions::socket_buffer_bytes so a whole round fits in flight in
-  /// both directions.
-  int socket_buffer_bytes = 256 * 1024;
   RecoveryOptions recovery;
   /// Deterministic transport faults interpreted at the client site
   /// (kClientKill / kClientPartialWrite entries; the daemon interprets its

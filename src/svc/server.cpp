@@ -19,6 +19,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Byte bound of a session's replay log (see DaemonOptions).
+constexpr std::size_t kReplayLogBytes = std::size_t{4} << 20;
+
 std::uint16_t read_u16(std::span<const std::uint8_t> b, std::size_t off) {
   return static_cast<std::uint16_t>(b[off] | (b[off + 1] << 8));
 }
@@ -167,7 +170,7 @@ void Daemon::accept_ready(Fd& listener) {
     }
     set_nonblocking(fd);
     set_nodelay(fd);
-    set_socket_buffers(fd, options_.socket_buffer_bytes);
+    set_socket_buffers(fd);
     auto conn = std::make_unique<Conn>();
     conn->fd = Fd(fd);
     conns_.emplace(fd, std::move(conn));
@@ -403,7 +406,7 @@ void Daemon::handle_commit(Conn& c, Session& s, Frame f) {
     while (s.log.size() > 1 &&
            (s.log.size() >
                 static_cast<std::size_t>(options_.replay_log_rounds) ||
-            s.log_bytes > options_.replay_log_bytes)) {
+            s.log_bytes > kReplayLogBytes)) {
       s.log_bytes -= s.log.front().bytes;
       s.log.pop_front();
     }

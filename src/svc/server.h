@@ -62,22 +62,16 @@ struct DaemonOptions {
   std::uint16_t tcp_port = 0;
   /// A session with no frame activity for this long is killed with kError.
   int idle_timeout_ms = 30'000;
-  /// SO_RCVBUF/SO_SNDBUF request for accepted connections (0 = kernel
-  /// default). A whole round of kDeliver frames is flushed in one gather
-  /// batch, so the send buffer should hold a full round to keep the flush
-  /// to a single writev on the loopback fast path.
-  int socket_buffer_bytes = 256 * 1024;
 
   /// How long a session whose connection died is retained (detached)
   /// awaiting a kResume before it is reaped. 0 disables resumption: a dead
   /// connection kills its sessions immediately (the PR-7 behaviour).
   int resume_grace_ms = 10'000;
   /// Replay-log retention per session: at most this many committed rounds
-  /// and at most `replay_log_bytes` of retained payload (views into pooled
-  /// slabs; the byte bound is what limits slab pinning). The newest round
-  /// is always retained so a kill-before-flush is always replayable.
+  /// and at most 4 MiB of retained payload (views into pooled slabs; the
+  /// byte bound is what limits slab pinning). The newest round is always
+  /// retained so a kill-before-flush is always replayable.
   int replay_log_rounds = 8;
-  std::size_t replay_log_bytes = std::size_t{4} << 20;
   /// Accept a kResume whose token the daemon does not know (it restarted):
   /// the session is adopted at the client's declared round base and the
   /// client re-drives the in-flight round. Off = unknown tokens are

@@ -15,6 +15,8 @@ namespace coca::svc {
 
 namespace {
 
+constexpr int kSocketBufferBytes = 256 * 1024;
+
 [[noreturn]] void fail(const std::string& what) {
   throw Error(what + ": " + std::strerror(errno));
 }
@@ -115,8 +117,8 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-void set_socket_buffers(int fd, int bytes) {
-  if (bytes <= 0) return;
+void set_socket_buffers(int fd) {
+  const int bytes = kSocketBufferBytes;
   // Best effort: the kernel clamps to wmem_max/rmem_max; a short buffer
   // only costs extra epoll round-trips, never correctness.
   ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));

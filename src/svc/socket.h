@@ -59,10 +59,11 @@ void set_nonblocking(int fd);
 /// serialize into 40 ms stalls.
 void set_nodelay(int fd);
 
-/// Requests SO_RCVBUF and SO_SNDBUF of `bytes` each (best effort; 0 is a
-/// no-op). The corked round flush emits a whole round of frames in one
-/// gather batch, so buffers must hold a full round for the flush to stay a
-/// single syscall without EAGAIN round-trips through epoll.
-void set_socket_buffers(int fd, int bytes);
+/// Requests SO_RCVBUF and SO_SNDBUF of 256 KiB each (best effort); the
+/// daemon and the client call it on every connection. The corked round
+/// flush emits a whole round of frames in one gather batch, so buffers
+/// must hold a full round for the flush to stay a single syscall without
+/// EAGAIN round-trips through epoll.
+void set_socket_buffers(int fd);
 
 }  // namespace coca::svc

@@ -44,6 +44,12 @@ TEST(Fuzzer, EveryKnownProtocolExecutes) {
         << protocol << ": " << (out.verdict.violations.empty()
                                     ? ""
                                     : out.verdict.violations.front());
+    // A fault-free case reports per-party outcomes like any other: the
+    // corrupted party runs honest code behind its tap and decides too.
+    ASSERT_EQ(out.outcomes.size(), 4u) << protocol;
+    for (const net::PartyOutcome& o : out.outcomes) {
+      EXPECT_EQ(o.outcome, net::Outcome::kDecided) << protocol;
+    }
 #endif
   }
 }

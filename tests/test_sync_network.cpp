@@ -215,6 +215,37 @@ TEST(SyncNetwork, HonestExceptionPropagates) {
   EXPECT_THROW(net.run(), Error);
 }
 
+TEST(SyncNetwork, RunRethrowsEarliestPartyError) {
+  // Runner 0 throws in round 2, runner 1 in round 0: run() rethrows the
+  // earlier one even though runner 0 comes first in the runner table, and
+  // run_report() on the same setup reports both parties as aborted.
+  const auto setup = [](SyncNetwork& net) {
+    net.set_honest(0, [](PartyContext& ctx) {
+      (void)ctx.advance();
+      (void)ctx.advance();
+      throw Error("late");
+    });
+    net.set_honest(1, [](PartyContext&) { throw Error("early"); });
+  };
+  SyncNetwork thrown(2, 0);
+  setup(thrown);
+  try {
+    (void)thrown.run();
+    ADD_FAILURE() << "run() returned despite two party errors";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "early");
+  }
+  SyncNetwork reported(2, 0);
+  setup(reported);
+  const RunReport rep = reported.run_report();
+  ASSERT_EQ(rep.outcomes.size(), 2u);
+  EXPECT_EQ(rep.outcomes[0].outcome, Outcome::kAborted);
+  EXPECT_EQ(rep.outcomes[0].evidence, "late");
+  EXPECT_EQ(rep.outcomes[1].outcome, Outcome::kAborted);
+  EXPECT_EQ(rep.outcomes[1].evidence, "early");
+  EXPECT_FALSE(rep.timed_out);
+}
+
 TEST(SyncNetwork, RoundLimitEnforced) {
   SyncNetwork net(2, 0);
   for (int id = 0; id < 2; ++id) {
