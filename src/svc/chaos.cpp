@@ -123,14 +123,15 @@ ChaosReport run_case_under_wire_faults(const adv::FuzzCase& c,
   auto daemon = std::make_unique<Daemon>(dopt);
   daemon->start();
 
+  // The fixed client policy of every wired run (see ChaosOptions).
   ClientOptions copt;
-  copt.round_timeout_ms = opt.round_timeout_ms;
+  copt.round_timeout_ms = 10'000;
   copt.recovery.enabled = true;
-  copt.recovery.max_attempts = opt.max_attempts;
-  copt.recovery.backoff_initial_ms = opt.backoff_initial_ms;
-  copt.recovery.backoff_max_ms = opt.backoff_max_ms;
+  copt.recovery.max_attempts = 10;
+  copt.recovery.backoff_initial_ms = 1;
+  copt.recovery.backoff_max_ms = 20;
   copt.recovery.heartbeat_interval_ms = opt.heartbeat_interval_ms;
-  copt.recovery.heartbeat_misses = opt.heartbeat_misses;
+  copt.recovery.heartbeat_misses = 3;
   copt.fault_plan = opt.plan;
   std::unique_ptr<WireClient> client =
       WireClient::connect_uds_path(path, copt);

@@ -33,17 +33,15 @@
 
 namespace coca::svc {
 
+/// The wired run's client policy is fixed: a 10 s per-round budget with
+/// reconnects included, 10 reconnect attempts with tight local backoff
+/// (1 ms doubling to 20 ms), 3 missed heartbeats to an outage. The point
+/// is to find divergence, not budget exhaustion.
 struct ChaosOptions {
   /// Faults injected at both sites (each interprets its own kinds).
   WireFaultPlan plan;
-  /// Total per-round budget on the wired run, reconnects included.
-  int round_timeout_ms = 10'000;
-  /// Client recovery policy (tight backoff: chaos runs are local).
-  int max_attempts = 10;
-  int backoff_initial_ms = 2;
-  int backoff_max_ms = 50;
+  /// Client heartbeat probe interval; 0 disables heartbeats.
   int heartbeat_interval_ms = 0;
-  int heartbeat_misses = 3;
   /// Destroy the daemon after the first client outage and boot a fresh one
   /// (fault-plan-free) on the same path: the rebind must go through
   /// unknown-token adoption and still converge bit-identically.

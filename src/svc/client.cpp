@@ -497,17 +497,9 @@ void WireClient::send_round_batch(WireSession& s, std::uint32_t round,
     // Injected torn write: ship only the first `partial` bytes of the
     // batch -- tearing a frame at an arbitrary byte, daemon-side mirror of
     // kTruncateFrame -- then kill the connection.
-    std::vector<::iovec> torn;
-    std::size_t budget = static_cast<std::size_t>(partial);
-    for (const ::iovec& v : iov) {
-      if (budget == 0) break;
-      const std::size_t len = std::min(budget, v.iov_len);
-      torn.push_back({v.iov_base, len});
-      budget -= len;
-    }
-    if (!torn.empty()) {
-      write_all(torn.data(), static_cast<int>(torn.size()));
-    }
+    const int torn = clip_iovecs(iov.data(), static_cast<int>(iov.size()),
+                                 static_cast<std::size_t>(partial));
+    if (torn > 0) write_all(iov.data(), torn);
     ::shutdown(fd_.get(), SHUT_RDWR);
     return;
   }

@@ -22,6 +22,9 @@ using Clock = std::chrono::steady_clock;
 /// Byte bound of a session's replay log (see DaemonOptions).
 constexpr std::size_t kReplayLogBytes = std::size_t{4} << 20;
 
+/// Gather-list capacity of one flush (Daemon::gather).
+constexpr int kFlushIovecs = 256;
+
 std::uint16_t read_u16(std::span<const std::uint8_t> b, std::size_t off) {
   return static_cast<std::uint16_t>(b[off] | (b[off + 1] << 8));
 }
@@ -561,34 +564,37 @@ void Daemon::send_frame(Conn& c, const FrameHeader& h, net::Payload payload) {
   flush(c);
 }
 
+int Daemon::gather(const Conn& c, ::iovec* iov) {
+  // Up to 128 queued frames (256 iovecs) per sendmsg: a whole committed
+  // round of kDeliver frames plus the barrier normally leaves in one
+  // syscall (IOV_MAX is 1024 on Linux; 256 keeps the stack array at 4 KiB).
+  int iovcnt = 0;
+  for (const Conn::OutFrame& of : c.out) {
+    if (iovcnt + 2 > kFlushIovecs) break;
+    std::size_t off = of.off;
+    if (off < kHeaderSize) {
+      iov[iovcnt].iov_base = const_cast<std::uint8_t*>(of.header.data()) + off;
+      iov[iovcnt].iov_len = kHeaderSize - off;
+      ++iovcnt;
+      off = 0;
+    } else {
+      off -= kHeaderSize;
+    }
+    if (off < of.payload.size()) {
+      iov[iovcnt].iov_base =
+          const_cast<std::uint8_t*>(of.payload.data()) + off;
+      iov[iovcnt].iov_len = of.payload.size() - off;
+      ++iovcnt;
+    }
+  }
+  return iovcnt;
+}
+
 void Daemon::flush(Conn& c) {
   const int fd = c.fd.get();
   while (!c.out.empty()) {
-    // Gather up to 128 queued frames (256 iovecs) per sendmsg: a whole
-    // committed round of kDeliver frames plus the barrier normally leaves
-    // in one syscall (IOV_MAX is 1024 on Linux; 256 keeps the stack array
-    // at 4 KiB).
-    iovec iov[256];
-    int iovcnt = 0;
-    for (const Conn::OutFrame& of : c.out) {
-      if (iovcnt + 2 > 256) break;
-      std::size_t off = of.off;
-      if (off < kHeaderSize) {
-        iov[iovcnt].iov_base =
-            const_cast<std::uint8_t*>(of.header.data()) + off;
-        iov[iovcnt].iov_len = kHeaderSize - off;
-        ++iovcnt;
-        off = 0;
-      } else {
-        off -= kHeaderSize;
-      }
-      if (off < of.payload.size()) {
-        iov[iovcnt].iov_base =
-            const_cast<std::uint8_t*>(of.payload.data()) + off;
-        iov[iovcnt].iov_len = of.payload.size() - off;
-        ++iovcnt;
-      }
-    }
+    iovec iov[kFlushIovecs];
+    const int iovcnt = gather(c, iov);
     if (iovcnt == 0) {  // fully-written frames at the front
       c.out.pop_front();
       continue;
@@ -627,31 +633,8 @@ void Daemon::flush_prefix(Conn& c, std::size_t budget) {
   // Best-effort single write of the queue's first `budget` bytes: the
   // caller closes the connection right after, so the client observes a
   // frame torn at an arbitrary byte (possibly mid-header).
-  iovec iov[256];
-  int iovcnt = 0;
-  std::size_t remaining = budget;
-  for (const Conn::OutFrame& of : c.out) {
-    if (remaining == 0 || iovcnt + 2 > 256) break;
-    std::size_t off = of.off;
-    if (off < kHeaderSize) {
-      const std::size_t len = std::min(kHeaderSize - off, remaining);
-      iov[iovcnt].iov_base = const_cast<std::uint8_t*>(of.header.data()) + off;
-      iov[iovcnt].iov_len = len;
-      ++iovcnt;
-      remaining -= len;
-      off = 0;
-      if (remaining == 0) break;
-    } else {
-      off -= kHeaderSize;
-    }
-    if (off < of.payload.size()) {
-      const std::size_t len = std::min(of.payload.size() - off, remaining);
-      iov[iovcnt].iov_base = const_cast<std::uint8_t*>(of.payload.data()) + off;
-      iov[iovcnt].iov_len = len;
-      ++iovcnt;
-      remaining -= len;
-    }
-  }
+  iovec iov[kFlushIovecs];
+  const int iovcnt = clip_iovecs(iov, gather(c, iov), budget);
   if (iovcnt == 0) return;
   ::msghdr msg{};
   msg.msg_iov = iov;

@@ -47,6 +47,8 @@
 #include <thread>
 #include <unordered_map>
 
+#include <sys/uio.h>
+
 #include "svc/event_loop.h"
 #include "svc/frame.h"
 #include "svc/wire_fault.h"
@@ -139,6 +141,9 @@ class Daemon {
   /// plus the kCommit barrier, then flushes once).
   void queue_frame(Conn& c, const FrameHeader& h, net::Payload payload);
   void send_frame(Conn& c, const FrameHeader& h, net::Payload payload);
+  /// Points `iov` (room for 256 entries) at the unwritten bytes of the out
+  /// queue, from each frame's write cursor; returns the entry count.
+  static int gather(const Conn& c, ::iovec* iov);
   void flush(Conn& c);
   /// Fault path: writes at most `budget` bytes of the out queue (tearing a
   /// frame at an arbitrary byte), then the caller hard-closes.

@@ -1,5 +1,6 @@
 #include "svc/socket.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -123,6 +124,15 @@ void set_socket_buffers(int fd) {
   // only costs extra epoll round-trips, never correctness.
   ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
   ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
+}
+
+int clip_iovecs(::iovec* iov, int iovcnt, std::size_t budget) {
+  int kept = 0;
+  for (; kept < iovcnt && budget > 0; ++kept) {
+    iov[kept].iov_len = std::min(iov[kept].iov_len, budget);
+    budget -= iov[kept].iov_len;
+  }
+  return kept;
 }
 
 }  // namespace coca::svc

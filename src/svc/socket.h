@@ -3,9 +3,12 @@
 // wrapper makes descriptor ownership explicit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
+
+#include <sys/uio.h>
 
 #include "util/common.h"
 
@@ -65,5 +68,10 @@ void set_nodelay(int fd);
 /// must hold a full round for the flush to stay a single syscall without
 /// EAGAIN round-trips through epoll.
 void set_socket_buffers(int fd);
+
+/// Clips the gather list `iov[0, iovcnt)` in place to its first `budget`
+/// bytes and returns the entries left: the torn write of both fault sites
+/// (daemon kTruncateFrame, client kClientPartialWrite).
+int clip_iovecs(::iovec* iov, int iovcnt, std::size_t budget);
 
 }  // namespace coca::svc

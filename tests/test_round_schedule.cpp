@@ -10,7 +10,6 @@
 // composite protocols.
 #include <gtest/gtest.h>
 
-#include "aa/approximate_agreement.h"
 #include "ba/ba_plus.h"
 #include "ba/long_ba_plus.h"
 #include "ba/phase_king.h"
@@ -125,18 +124,6 @@ TEST(RoundSchedule, HighCostCAFixed) {
                              : variant == 2 ? 1u << id
                                             : 0);
           (void)hc.run(ctx, input);
-          return 0;
-        });
-  });
-}
-
-TEST(RoundSchedule, ApproxAgreementFixedPerIteration) {
-  const aa::SyncApproxAgreement aa;
-  expect_fixed_rounds(7, 2, [&](std::size_t variant) {
-    return std::function<int(net::PartyContext&, int)>(
-        [&aa, variant](net::PartyContext& ctx, int id) {
-          (void)aa.run(ctx, BigInt(static_cast<std::int64_t>(variant * id)),
-                       6);
           return 0;
         });
   });

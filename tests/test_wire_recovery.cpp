@@ -169,39 +169,57 @@ TEST(WireChaos, StallThenRecoverIsPureLatency) {
   EXPECT_EQ(rep.stats.client_outages, 0u);
 }
 
+/// Torn-write cut points: nothing written, one byte, one byte short of a
+/// header, exactly one header, mid-payload, and past the whole batch.
+constexpr std::uint32_t kPastBatch = 1u << 20;
+constexpr std::uint32_t kTornAt[] = {0, 1, 23, 24, 30, kPastBatch};
+
 TEST(WireChaos, TruncatedFlushIsRetransmitted) {
-  // The flush tears mid-frame (30 bytes = one header + 6 payload bytes):
-  // the client sees a partial frame then EOF, reconnects with a reset
-  // decoder, and the round replays whole.
+  // The flush tears at each cut point (30 bytes = one header + 6 payload
+  // bytes): the client sees a partial frame then EOF, reconnects with a
+  // reset decoder, and the round replays whole. A cut past the whole batch
+  // is a kill after flush: the client already holds the round, so it
+  // resumes with nothing to replay.
   const adv::FuzzCase c = base_case("BAPlus", 7);
   const std::uint32_t rounds = probe_rounds(c);
   ASSERT_GE(rounds, 2u);
-  ChaosOptions opt;
-  opt.plan.entries.push_back(
-      fault(Kind::kTruncateFrame, 1, /*truncate_bytes=*/30));
-  const ChaosReport rep = run_case_under_wire_faults(c, opt);
-  EXPECT_TRUE(rep.identical) << rep.mismatch << "\nwired failure: " << rep.wired.failure;
-  EXPECT_GE(rep.stats.client_outages, 1u);
-  EXPECT_GE(rep.stats.daemon_replayed_rounds, 1u);
+  for (const std::uint32_t torn_at : kTornAt) {
+    SCOPED_TRACE(::testing::Message() << "truncate_bytes=" << torn_at);
+    ChaosOptions opt;
+    opt.plan.entries.push_back(fault(Kind::kTruncateFrame, 1, torn_at));
+    const ChaosReport rep = run_case_under_wire_faults(c, opt);
+    EXPECT_TRUE(rep.identical) << rep.mismatch << "\nwired failure: " << rep.wired.failure;
+    EXPECT_GE(rep.stats.client_outages, 1u);
+    if (torn_at == kPastBatch) {
+      EXPECT_GE(rep.stats.daemon_resumed_sessions, 1u);
+    } else {
+      EXPECT_GE(rep.stats.daemon_replayed_rounds, 1u);
+    }
+  }
 }
 
 TEST(WireChaos, ClientSiteFaultsRecover) {
   // Client-side chaos: a hard kill before the batch leaves, and a torn
-  // write (the daemon observes a frame cut at byte 40 then EOF). The
-  // daemon never committed those rounds, so the resumed client re-drives
-  // them -- the epoch gate's one-re-send-per-reconnect path.
+  // write (the daemon observes a frame cut at each cut point, or at byte
+  // 40, then EOF). The daemon never committed those rounds, so the resumed
+  // client re-drives them -- the epoch gate's one-re-send-per-reconnect
+  // path.
   const adv::FuzzCase c = base_case("BAPlus", 4);
   const std::uint32_t rounds = probe_rounds(c);
   ASSERT_GE(rounds, 3u);
-  ChaosOptions opt;
-  opt.plan.entries.push_back(fault(Kind::kClientKill, 1));
-  opt.plan.entries.push_back(
-      fault(Kind::kClientPartialWrite, 2, /*truncate_bytes=*/40));
-  const ChaosReport rep = run_case_under_wire_faults(c, opt);
-  EXPECT_TRUE(rep.identical) << rep.mismatch << "\nwired failure: " << rep.wired.failure;
-  EXPECT_EQ(rep.stats.client_injected_faults, 2u);
-  EXPECT_GE(rep.stats.client_outages, 2u);
-  EXPECT_GE(rep.stats.daemon_resumed_sessions, 2u);
+  std::vector<std::uint32_t> cuts(std::begin(kTornAt), std::end(kTornAt));
+  cuts.push_back(40);
+  for (const std::uint32_t torn_at : cuts) {
+    SCOPED_TRACE(::testing::Message() << "truncate_bytes=" << torn_at);
+    ChaosOptions opt;
+    opt.plan.entries.push_back(fault(Kind::kClientKill, 1));
+    opt.plan.entries.push_back(fault(Kind::kClientPartialWrite, 2, torn_at));
+    const ChaosReport rep = run_case_under_wire_faults(c, opt);
+    EXPECT_TRUE(rep.identical) << rep.mismatch << "\nwired failure: " << rep.wired.failure;
+    EXPECT_EQ(rep.stats.client_injected_faults, 2u);
+    EXPECT_GE(rep.stats.client_outages, 2u);
+    EXPECT_GE(rep.stats.daemon_resumed_sessions, 2u);
+  }
 }
 
 TEST(WireChaos, MixedFaultScheduleStaysIdentical) {
@@ -272,7 +290,6 @@ TEST(WireChaos, HeartbeatDetectsSilentDaemon) {
   ChaosOptions opt;
   opt.plan.entries.push_back(fault(Kind::kStallRead, 1, /*delay_ms=*/600));
   opt.heartbeat_interval_ms = 50;
-  opt.heartbeat_misses = 3;
   const ChaosReport rep = run_case_under_wire_faults(c, opt);
   EXPECT_TRUE(rep.identical) << rep.mismatch << "\nwired failure: " << rep.wired.failure;
   EXPECT_GE(rep.stats.client_heartbeats_missed, 1u);

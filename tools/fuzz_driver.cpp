@@ -194,19 +194,6 @@ int run_sharded_search(const FuzzerOptions& options,
   return expect_violation ? (violated ? 0 : 1) : (violated ? 1 : 0);
 }
 
-/// Chaos-harness policy for the search: tight local backoff, generous
-/// budgets (the point is to find divergence, not budget exhaustion).
-coca::svc::ChaosOptions wire_chaos_options(
-    const coca::svc::WireFaultPlan& plan) {
-  coca::svc::ChaosOptions opt;
-  opt.plan = plan;
-  opt.round_timeout_ms = 10'000;
-  opt.max_attempts = 10;
-  opt.backoff_initial_ms = 1;
-  opt.backoff_max_ms = 20;
-  return opt;
-}
-
 void print_wire_failure(const coca::adv::FuzzCase& c,
                         const coca::svc::WireFaultPlan& plan,
                         const coca::svc::ChaosReport& rep) {
@@ -250,7 +237,7 @@ int run_wire_fault_search(const FuzzerOptions& options,
     ++executed;
     if (plan.empty()) continue;
     const coca::svc::ChaosReport rep =
-        coca::svc::run_case_under_wire_faults(c, wire_chaos_options(plan));
+        coca::svc::run_case_under_wire_faults(c, {.plan = plan});
     if (rep.ok()) continue;
     ++failures;
     // Greedy entry-wise shrink: drop each fault in turn, keep the drop if
@@ -263,7 +250,7 @@ int run_wire_fault_search(const FuzzerOptions& options,
         trial.entries.erase(trial.entries.begin() +
                             static_cast<std::ptrdiff_t>(i));
         const coca::svc::ChaosReport r =
-            coca::svc::run_case_under_wire_faults(c, wire_chaos_options(trial));
+            coca::svc::run_case_under_wire_faults(c, {.plan = trial});
         if (!r.ok()) {
           shrunk = std::move(trial);
           last = r;
@@ -316,7 +303,7 @@ int wire_replay(const std::string& path) {
             << wc.entry.c.mutation.seed << ", " << wc.plan.entries.size()
             << " fault entries)\n";
   const coca::svc::ChaosReport rep = coca::svc::run_case_under_wire_faults(
-      wc.entry.c, wire_chaos_options(wc.plan));
+      wc.entry.c, {.plan = wc.plan});
   if (rep.identical) {
     std::cout << "  recovered bit-identically ("
               << rep.stats.client_outages << " outages, "

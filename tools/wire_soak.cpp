@@ -172,8 +172,6 @@ int main(int argc, char** argv) {
             0x50AC0000ULL ^ (static_cast<std::uint64_t>(w) << 32) ^ iter);
         svc::ChaosOptions opt;
         opt.plan = svc::sample_wire_fault_plan(cfg);
-        opt.backoff_initial_ms = 1;
-        opt.backoff_max_ms = 20;
         opt.restart_daemon_mid_run =
             iter % 5 == 4 && !opt.plan.empty() && opt.plan.has_daemon_site();
         st.iteration_start.store(now_ms(), std::memory_order_relaxed);
