@@ -454,10 +454,11 @@ FuzzOutcome run_ba_plus_like(const FuzzCase& c, const ExecHooks& hooks,
         check_agreement(outputs, o);
         // Honest input multiset, for the two BA+ extras; agreement already
         // compared the outputs, so the extras only need the first one.
-        std::map<Bytes, int, BytesLess> honest_count;
+        std::vector<net::ValueCount> honest_count;
         for (int id = 0; id < c.n; ++id) {
           if (!is_excluded(c, id)) {
-            ++honest_count[inputs[static_cast<std::size_t>(id)]];
+            net::count_value(honest_count,
+                             inputs[static_cast<std::size_t>(id)]);
           }
         }
         for (std::size_t id = 0; id < outputs.size(); ++id) {
@@ -466,7 +467,8 @@ FuzzOutcome run_ba_plus_like(const FuzzCase& c, const ExecHooks& hooks,
           if (res->has_value()) {
             // Intrusion Tolerance (Definition 3): a non-bottom output is
             // some honest party's input.
-            if (!honest_count.contains(**res)) {
+            if (std::none_of(honest_count.begin(), honest_count.end(),
+                             [&](const auto& h) { return h.value == **res; })) {
               o.verdict.violations.push_back(
                   "intrusion-tolerance: party " + std::to_string(id) +
                   " output is not an honest input");

@@ -1,9 +1,26 @@
 #include "ba/ba_plus.h"
 
 #include <algorithm>
-#include <map>
 
 namespace coca::ba {
+
+namespace {
+
+/// The (at most two) values counted at least `threshold` times, most
+/// frequent first, ties in value order: the paper proves at most two exist,
+/// and the order keeps behaviour deterministic beyond the model's t.
+std::vector<net::ValueCount> top_two(std::vector<net::ValueCount> counts,
+                                     int threshold) {
+  std::stable_sort(counts.begin(), counts.end(),
+                   [](const auto& x, const auto& y) {
+                     return x.count > y.count;
+                   });
+  std::erase_if(counts, [&](const auto& c) { return c.count < threshold; });
+  if (counts.size() > 2) counts.resize(2);
+  return counts;
+}
+
+}  // namespace
 
 MaybeBytes BAPlus::run(net::PartyContext& ctx, const Bytes& input) const {
   const int n = ctx.n();
@@ -13,68 +30,40 @@ MaybeBytes BAPlus::run(net::PartyContext& ctx, const Bytes& input) const {
   // Line 1: distribute inputs. Any byte string counts as a value here;
   // inputs are opaque to the protocol.
   ctx.send_all(input);
-  // Keyed by payload *views*: counting received values costs refcount
-  // bumps, not byte copies (ordering matches Bytes ordering bit for bit).
-  std::map<net::Payload, int> counts;
-  for (const auto& e : net::first_per_sender(ctx.advance())) {
-    ++counts[e.payload];
-  }
+  const auto any = [](const net::Payload&) { return true; };
 
-  // Line 2: vote for every value received from >= n-2t senders. The paper
-  // proves at most two such values exist; we order candidates by
-  // (count desc, value asc) so behaviour stays deterministic even under
-  // more corruptions than the model allows.
-  std::vector<net::Payload> candidates;
-  for (const auto& [value, cnt] : counts) {
-    if (cnt >= n - 2 * t) candidates.push_back(value);
-  }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](const net::Payload& x, const net::Payload& y) {
-                     return counts[x] > counts[y];
-                   });
-  if (candidates.size() > 2) candidates.resize(2);
-  {
-    Writer vote;
-    vote.u8(narrow<std::uint8_t>(candidates.size()));
-    for (const net::Payload& c : candidates) vote.bytes(c);
-    ctx.send_all(std::move(vote).take());
-  }
+  // Line 2: vote for every value received from >= n-2t senders.
+  const auto candidates = top_two(net::tally(ctx.advance(), any), n - 2 * t);
+  Writer vote;
+  vote.u8(narrow<std::uint8_t>(candidates.size()));
+  for (const net::ValueCount& c : candidates) vote.bytes(c.value);
+  ctx.send_all(std::move(vote).take());
 
   // Line 3: a and b are the (at most two) values voted by >= n-t parties.
-  std::map<Bytes, int, BytesLess> votes;
+  // A voted value is a slice of its vote message, not a copy.
+  std::vector<net::ValueCount> votes;
   for (const auto& e : net::first_per_sender(ctx.advance())) {
     Reader r(e.payload);
     const auto k = r.u8();
     if (!k || *k > 2) continue;
-    Bytes seen[2];
-    std::size_t got = 0;
+    net::Payload first;
     for (std::uint8_t i = 0; i < *k; ++i) {
-      auto v = r.bytes();
+      const auto v = r.bytes_view();
       if (!v) break;
+      net::Payload value = e.payload.slice(
+          static_cast<std::size_t>(v->data() - e.payload.data()), v->size());
       // A sender's vote counts once per distinct value.
-      if (got == 1 && seen[0] == *v) continue;
-      seen[got++] = std::move(*v);
+      if (i == 1 && value == first) continue;
+      first = value;
+      net::count_value(votes, std::move(value));
     }
-    for (std::size_t i = 0; i < got; ++i) ++votes[seen[i]];
   }
-  std::vector<Bytes> heavy;
-  for (const auto& [value, cnt] : votes) {
-    if (cnt >= n - t) heavy.push_back(value);
-  }
-  std::stable_sort(heavy.begin(), heavy.end(),
-                   [&](const Bytes& x, const Bytes& y) {
-                     return votes[x] > votes[y];
-                   });
-  if (heavy.size() > 2) heavy.resize(2);
-  std::sort(heavy.begin(), heavy.end(), BytesLess{});  // a <= b in value order
-
+  const auto heavy = top_two(std::move(votes), n - t);
   MaybeBytes a, b;
-  if (heavy.size() == 1) {
-    a = heavy[0];
-    b = heavy[0];
-  } else if (heavy.size() == 2) {
-    a = heavy[0];
-    b = heavy[1];
+  if (!heavy.empty()) {  // a <= b in value order
+    const auto [lo, hi] = std::minmax(heavy.front().value, heavy.back().value);
+    a = lo.owned();
+    b = hi.owned();
   }
 
   // Line 4: try to agree on a.

@@ -1,7 +1,5 @@
 #include "ba/phase_king.h"
 
-#include <map>
-
 namespace coca::ba {
 
 namespace {
@@ -65,34 +63,18 @@ MaybeBytes PhaseKingMultivalued::run(net::PartyContext& ctx,
   for (int phase = 0; phase <= t; ++phase) {
     // Round 1: exchange v; adopt the unique value with >= n-t occurrences.
     ctx.send_all(encode_maybe(v));
-    // Payload keys: counting costs no buffer copies, and the key order is
-    // the same lexicographic byte order as before.
-    std::map<net::Payload, int> counts;
-    for (const auto& e : net::first_per_sender(ctx.advance())) {
-      if (decode_maybe(e.payload)) ++counts[e.payload];
-    }
-    bool have_u = false;
-    MaybeBytes u;
-    for (const auto& [enc, cnt] : counts) {
-      if (cnt >= n - t) {
-        u = *decode_maybe(enc);
-        have_u = true;
-        break;  // at most one value can reach n-t distinct senders
-      }
-    }
+    // At most one value can reach n-t distinct senders.
+    const auto counts = net::tally(ctx.advance(), decode_maybe);
+    const net::ValueCount* u = net::first_reaching(counts, n - t);
 
     // Round 2: exchange u (or the none sentinel). m is the most frequent
     // real value, ties to the lexicographically smallest encoding; when no
     // real value was seen at all, m falls back to domain bottom.
-    ctx.send_all(have_u ? encode_maybe(u) : Bytes{kNoneTag});
-    std::map<net::Payload, int> d;
-    for (const auto& e : net::first_per_sender(ctx.advance())) {
-      if (decode_maybe(e.payload)) ++d[e.payload];
-    }
+    ctx.send_all(u ? u->value.owned() : Bytes{kNoneTag});
     MaybeBytes m;  // bottom unless a real value was observed
     int best = 0;
-    for (const auto& [enc, cnt] : d) {  // key order = deterministic tiebreak
-      if (cnt > best) {
+    for (const auto& [enc, cnt] : net::tally(ctx.advance(), decode_maybe)) {
+      if (cnt > best) {  // ascending order = deterministic tiebreak
         best = cnt;
         m = *decode_maybe(enc);
       }

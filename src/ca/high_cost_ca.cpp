@@ -1,7 +1,6 @@
 #include "ca/high_cost_ca.h"
 
 #include <algorithm>
-#include <map>
 
 #include "util/wire.h"
 
@@ -15,39 +14,18 @@ Bytes encode_nat(const BigNat& v) {
   return std::move(w).take();
 }
 
-std::optional<BigNat> decode_nat(std::span<const std::uint8_t> raw) {
+/// The natural a whole message carries, viewed in place; nullopt when the
+/// message is malformed (the paper's "ignore values outside N").
+std::optional<NatView> nat_view(std::span<const std::uint8_t> raw) {
   Reader r(raw);
-  auto v = r.bignat();
-  if (!v || !r.at_end()) return std::nullopt;
-  return v;
+  const auto v = r.bignat_view();
+  return r.at_end() ? v : std::nullopt;
 }
 
-/// Parses one natural per sender from a round's inbox, dropping malformed
-/// messages (the paper's "ignore values outside N").
-std::vector<BigNat> collect_naturals(const std::vector<net::Envelope>& inbox) {
-  std::vector<BigNat> out;
-  for (const auto& e : net::first_per_sender(inbox)) {
-    if (auto v = decode_nat(e.payload)) out.push_back(std::move(*v));
-  }
-  return out;
-}
-
-/// Occurrence counts keyed by value.
-std::map<BigNat, int> count_naturals(const std::vector<net::Envelope>& inbox) {
-  std::map<BigNat, int> counts;
-  for (const auto& e : net::first_per_sender(inbox)) {
-    if (auto v = decode_nat(e.payload)) ++counts[*v];
-  }
-  return counts;
-}
-
-/// Smallest value reaching `threshold` occurrences, if any.
-std::optional<BigNat> value_with_count(const std::map<BigNat, int>& counts,
-                                       int threshold) {
-  for (const auto& [value, cnt] : counts) {
-    if (cnt >= threshold) return value;
-  }
-  return std::nullopt;
+/// Numeric order of two messages `nat_view` accepts: a padding bit never
+/// makes a second value.
+bool nat_order(const net::Payload& a, const net::Payload& b) {
+  return *nat_view(a) < *nat_view(b);
 }
 
 }  // namespace
@@ -62,13 +40,18 @@ BigNat HighCostCA::run(net::PartyContext& ctx, const BigNat& input) const {
   // byzantine, so the (k+1)-th lowest / highest received values bracket a
   // sub-interval of the honest inputs' range (Lemma 10).
   ctx.send_all(encode_nat(input));
-  std::vector<BigNat> received = collect_naturals(ctx.advance());
+  const auto inputs = net::first_per_sender(ctx.advance());
+  std::vector<NatView> received;
+  for (const auto& e : inputs) {
+    if (const auto v = nat_view(e.payload)) received.push_back(*v);
+  }
   std::sort(received.begin(), received.end());
   const int r = narrow<int>(received.size());
   const int k = std::max(0, r - (n - t));  // max(.,0) only guards t' > t runs
   ensure(r > 2 * k, "HighCostCA: fewer values than honest parties");
-  const BigNat interval_min = received[static_cast<std::size_t>(k)];
-  const BigNat interval_max = received[static_cast<std::size_t>(r - 1 - k)];
+  const BigNat interval_min = received[static_cast<std::size_t>(k)].decode();
+  const BigNat interval_max =
+      received[static_cast<std::size_t>(r - 1 - k)].decode();
 
   // Exchange intervals; SUGGESTION is a natural covered by >= n-t of the
   // received intervals (exists by Corollary 4: honest intervals intersect).
@@ -79,28 +62,26 @@ BigNat HighCostCA::run(net::PartyContext& ctx, const BigNat& input) const {
     w.bignat(interval_max);
     ctx.send_all(std::move(w).take());
   }
-  std::vector<std::pair<BigNat, BigNat>> intervals;
-  for (const auto& e : net::first_per_sender(ctx.advance())) {
+  // Views into the kept inbox: endpoints are compared, not decoded.
+  const auto inbox = net::first_per_sender(ctx.advance());
+  std::vector<std::pair<NatView, NatView>> intervals;
+  for (const auto& e : inbox) {
     Reader rd(e.payload);
-    auto lo = rd.bignat();
-    auto hi = rd.bignat();
+    auto lo = rd.bignat_view();
+    auto hi = rd.bignat_view();
     if (!lo || !hi || !rd.at_end() || *lo > *hi) continue;
-    intervals.emplace_back(std::move(*lo), std::move(*hi));
+    intervals.emplace_back(*lo, *hi);
   }
+  std::sort(intervals.begin(), intervals.end());  // left endpoints ascend
   BigNat suggestion = interval_min;  // defensive fallback, normally replaced
-  {
-    std::vector<BigNat> candidates;
-    for (const auto& [lo, hi] : intervals) candidates.push_back(lo);
-    std::sort(candidates.begin(), candidates.end());
-    for (const BigNat& c : candidates) {
-      int cover = 0;
-      for (const auto& [lo, hi] : intervals) {
-        if (lo <= c && c <= hi) ++cover;
-      }
-      if (cover >= n - t) {
-        suggestion = c;
-        break;
-      }
+  for (const auto& [c, unused] : intervals) {
+    int cover = 0;
+    for (const auto& [lo, hi] : intervals) {
+      if (lo <= c && c <= hi) ++cover;
+    }
+    if (cover >= n - t) {
+      suggestion = c.decode();
+      break;
     }
   }
   BigNat current = suggestion;
@@ -109,26 +90,26 @@ BigNat HighCostCA::run(net::PartyContext& ctx, const BigNat& input) const {
   for (int king = 0; king <= t; ++king) {
     // Send CURRENT to all.
     ctx.send_all(encode_nat(current));
-    const auto current_counts = count_naturals(ctx.advance());
-    const auto propose = value_with_count(current_counts, n - t);
+    const auto currents = net::tally(ctx.advance(), nat_view, nat_order);
 
     // Send (PROPOSE, v) if some value was received n-t times.
-    if (propose) {
-      ctx.send_all(encode_nat(*propose));
+    if (const auto* v = net::first_reaching(currents, n - t)) {
+      ctx.send_all(encode_nat(nat_view(v->value)->decode()));
     }
-    const auto propose_counts = count_naturals(ctx.advance());
-    const auto widely_proposed = value_with_count(propose_counts, n - t);
-    const auto backed_proposal = value_with_count(propose_counts, t + 1);
-    if (backed_proposal) current = *backed_proposal;
+    const auto proposals = net::tally(ctx.advance(), nat_view, nat_order);
+    const bool widely_proposed =
+        net::first_reaching(proposals, n - t) != nullptr;
+    const auto* backed_proposal = net::first_reaching(proposals, t + 1);
+    if (backed_proposal) current = nat_view(backed_proposal->value)->decode();
 
     // King broadcasts its value.
     if (ctx.id() == king) {
-      ctx.send_all(encode_nat(backed_proposal ? *backed_proposal : suggestion));
+      ctx.send_all(encode_nat(backed_proposal ? current : suggestion));
     }
     std::optional<BigNat> king_value;
     for (const auto& e : net::first_per_sender(ctx.advance())) {
       if (e.from != king) continue;
-      if (auto v = decode_nat(e.payload)) king_value = std::move(*v);
+      if (const auto v = nat_view(e.payload)) king_value = v->decode();
     }
 
     // Vote for the king's value if it matches CURRENT or the trusted
@@ -139,11 +120,10 @@ BigNat HighCostCA::run(net::PartyContext& ctx, const BigNat& input) const {
          (interval_min <= *king_value && *king_value <= interval_max))) {
       ctx.send_all(encode_nat(*king_value));
     }
-    const auto vote_counts = count_naturals(ctx.advance());
-    if (!widely_proposed) {
-      if (const auto backed_vote = value_with_count(vote_counts, t + 1)) {
-        current = *backed_vote;
-      }
+    const auto votes = net::tally(ctx.advance(), nat_view, nat_order);
+    const auto* backed_vote = net::first_reaching(votes, t + 1);
+    if (backed_vote && !widely_proposed) {
+      current = nat_view(backed_vote->value)->decode();
     }
   }
   return current;

@@ -152,9 +152,9 @@ class Payload {
   const std::uint8_t* end() const { return data() + len_; }
 
   /// Owned deep copy of the viewed bytes, NOT counted in PayloadMetrics:
-  /// for protocol-local adoption of a received value (map keys, stored
-  /// state), which was an implicit uncounted copy before payloads became
-  /// slab views. Substrate-metered paths use to_bytes()/detach() instead.
+  /// for protocol-local adoption of a received value (stored state), which
+  /// was an implicit uncounted copy before payloads became slab views.
+  /// Substrate-metered paths use to_bytes()/detach() instead.
   Bytes owned() const {
     const auto s = span();
     return Bytes(s.begin(), s.end());
@@ -185,9 +185,7 @@ class Payload {
     return std::ranges::equal(span(), std::span<const std::uint8_t>(other));
   }
 
-  /// Lexicographic content order, identical to `Bytes` ordering -- payload
-  /// keyed maps (vote counting) keep the deterministic tiebreak the
-  /// protocols relied on when they keyed by materialized Bytes.
+  /// Lexicographic content order, identical to `Bytes` ordering.
   bool operator<(const Payload& other) const {
     const auto a = span();
     const auto b = other.span();

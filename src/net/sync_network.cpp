@@ -202,12 +202,7 @@ inline void enter_fiber(Fiber& controller) {
 
 }  // namespace
 
-std::vector<Envelope> first_per_sender(const std::vector<Envelope>& inbox) {
-  // View copies only (refcount bumps); the rvalue overload does the work.
-  return first_per_sender(std::vector<Envelope>(inbox));
-}
-
-std::vector<Envelope> first_per_sender(std::vector<Envelope>&& inbox) {
+std::vector<Envelope> first_per_sender(std::vector<Envelope> inbox) {
   // Canonicalize by sender id first: engine inboxes already arrive sorted
   // (then nothing moves), but a FaultPlan inbox shuffle -- or any other
   // delivery-order adversary -- must not change what protocols consume.
@@ -230,7 +225,7 @@ std::vector<Envelope> first_per_sender(std::vector<Envelope>&& inbox) {
     }
   }
   inbox.resize(kept);
-  return std::move(inbox);
+  return inbox;
 }
 
 struct SyncNetwork::Runner {

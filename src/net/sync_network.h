@@ -51,6 +51,7 @@
 // phase; "honest bits" is the paper's BITS_l cost measure.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -134,10 +135,54 @@ struct Transcript {
 /// built on this helper are delivery-order insensitive by construction
 /// (which a FaultPlan inbox shuffle relies on). The engine delivers inboxes
 /// already sorted, so on them nothing is sorted. Copies are payload views
-/// (refcount bumps or inline copies), never counted copies; the rvalue
-/// overload filters in place.
-std::vector<Envelope> first_per_sender(const std::vector<Envelope>& inbox);
-std::vector<Envelope> first_per_sender(std::vector<Envelope>&& inbox);
+/// (refcount bumps or inline copies), never counted copies; a moved-in
+/// inbox is filtered in place.
+std::vector<Envelope> first_per_sender(std::vector<Envelope> inbox);
+
+/// One distinct value of a count and its number of occurrences.
+struct ValueCount {
+  Payload value;
+  int count = 0;
+};
+
+/// Counts `value` into `counts`, which holds distinct values in ascending
+/// order under `less` (equal = neither is less): a repeat bumps its count,
+/// a new value is inserted in order.
+template <class Less = std::less<>>
+void count_value(std::vector<ValueCount>& counts, Payload value,
+                 Less less = {}) {
+  const auto it = std::lower_bound(
+      counts.begin(), counts.end(), value,
+      [&](const ValueCount& c, const Payload& v) { return less(c.value, v); });
+  if (it != counts.end() && !less(value, it->value)) {
+    ++it->count;
+  } else {
+    counts.insert(it, {std::move(value), 1});
+  }
+}
+
+/// A round's count: the first message of each sender for which `valid`
+/// holds, counted by `count_value`. The ascending order is the protocols'
+/// tie order; a counted value is a view of the first payload counted
+/// equal to it (the default order is byte order, so all are the same).
+template <class Valid, class Less = std::less<>>
+std::vector<ValueCount> tally(std::vector<Envelope> inbox, Valid valid,
+                              Less less = {}) {
+  std::vector<ValueCount> counts;
+  for (Envelope& e : first_per_sender(std::move(inbox))) {
+    if (valid(e.payload)) count_value(counts, std::move(e.payload), less);
+  }
+  return counts;
+}
+
+/// The smallest counted value occurring at least `threshold` times, or null.
+inline const ValueCount* first_reaching(const std::vector<ValueCount>& counts,
+                                        int threshold) {
+  for (const ValueCount& c : counts) {
+    if (c.count >= threshold) return &c;
+  }
+  return nullptr;
+}
 
 class SyncNetwork;
 

@@ -19,17 +19,6 @@ namespace coca {
 /// Raw message / value payload. All wire traffic is a `Bytes`.
 using Bytes = std::vector<std::uint8_t>;
 
-/// Byte-lexicographic order on `Bytes`: the order of `operator<`, spelled
-/// out because GCC 12 at -O3 misreads the memcmp inlined into
-/// std::vector's `operator<=>` as unbounded (a false -Wstringop-overread).
-struct BytesLess {
-  bool operator()(const Bytes& a, const Bytes& b) const {
-    const std::size_t n = a.size() < b.size() ? a.size() : b.size();
-    const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
-    return c != 0 ? c < 0 : a.size() < b.size();
-  }
-};
-
 /// Base error for all coca failures (contract violations, protocol aborts).
 class Error : public std::runtime_error {
  public:

@@ -10,9 +10,12 @@
 //   u8/u16/u32/u64     raw little-endian
 //   bytes              u32 length + raw bytes
 //   bitstring          u64 bit count + packed MSB-first bytes
-//   bignat             bitstring of the minimal representation
+//   bignat             bitstring of the minimal representation; padding
+//                      bits are ignored on read (see NatView)
 #pragma once
 
+#include <compare>
+#include <cstring>
 #include <optional>
 #include <span>
 
@@ -21,6 +24,30 @@
 #include "util/common.h"
 
 namespace coca {
+
+/// A `bignat` field checked as `Reader::bignat()` checks it, not decoded.
+/// Its padding bits are as received and no part of the value, so compare
+/// views by `<=>`, never byte-wise.
+struct NatView {
+  std::size_t bits = 0;
+  std::span<const std::uint8_t> packed;
+
+  Bitstring to_bits() const {
+    return Bitstring::from_packed(Bytes(packed.begin(), packed.end()), bits);
+  }
+  BigNat decode() const { return BigNat::from_bits(to_bits()); }
+  /// Numeric order: with no leading zero bit, more bits is larger; at equal
+  /// counts the MSB-first bytes compare in order, padding masked.
+  std::strong_ordering operator<=>(const NatView& o) const {
+    if (bits != o.bits || bits == 0) return bits <=> o.bits;
+    const std::size_t last = packed.size() - 1;
+    if (const int c = std::memcmp(packed.data(), o.packed.data(), last)) {
+      return c <=> 0;
+    }
+    const auto mask = static_cast<std::uint8_t>(0xFF << ((8 - bits % 8) % 8));
+    return (packed[last] & mask) <=> (o.packed[last] & mask);
+  }
+};
 
 /// Append-only message builder.
 class Writer {
@@ -73,36 +100,37 @@ class Reader {
   std::optional<std::uint32_t> u32() { return le<std::uint32_t>(4); }
   std::optional<std::uint64_t> u64() { return le<std::uint64_t>(8); }
 
-  std::optional<Bytes> bytes() {
+  /// A `bytes` field, in place.
+  std::optional<std::span<const std::uint8_t>> bytes_view() {
     const auto len = u32();
     if (!len || *len > remaining()) return std::nullopt;
-    Bytes out(data_.begin() + narrow<std::ptrdiff_t>(pos_),
-              data_.begin() + narrow<std::ptrdiff_t>(pos_ + *len));
     pos_ += *len;
-    return out;
+    return data_.subspan(pos_ - *len, *len);
+  }
+
+  std::optional<Bytes> bytes() {
+    const auto b = bytes_view();
+    return b ? std::optional(Bytes(b->begin(), b->end())) : std::nullopt;
   }
 
   std::optional<Bitstring> bitstring() {
-    const auto nbits = u64();
-    if (!nbits) return std::nullopt;
-    // Guard against absurd length fields before allocating.
-    if (*nbits > remaining() * std::uint64_t{8}) return std::nullopt;
-    const std::size_t nbytes = ceil_div(static_cast<std::size_t>(*nbits), 8);
-    if (nbytes > remaining()) return std::nullopt;
-    Bytes packed(data_.begin() + narrow<std::ptrdiff_t>(pos_),
-                 data_.begin() + narrow<std::ptrdiff_t>(pos_ + nbytes));
-    pos_ += nbytes;
-    return Bitstring::from_packed(std::move(packed),
-                                 static_cast<std::size_t>(*nbits));
+    const auto v = packed_bits();
+    return v ? std::optional(v->to_bits()) : std::nullopt;
+  }
+
+  /// A `bignat` field, checked but not decoded.
+  std::optional<NatView> bignat_view() {
+    auto v = packed_bits();
+    // Reject a leading zero bit except for zero itself; with padding bits
+    // no part of the value, byzantine parties cannot make equal values
+    // look distinct.
+    if (v && v->bits > 0 && (v->packed[0] & 0x80) == 0) return std::nullopt;
+    return v;
   }
 
   std::optional<BigNat> bignat() {
-    const auto bits = bitstring();
-    if (!bits) return std::nullopt;
-    // Reject non-canonical encodings (leading zero bit) except for zero
-    // itself, so byzantine parties cannot make equal values look distinct.
-    if (bits->size() > 0 && !bits->bit(0)) return std::nullopt;
-    return BigNat::from_bits(*bits);
+    const auto v = bignat_view();
+    return v ? std::optional(v->decode()) : std::nullopt;
   }
 
   std::size_t remaining() const { return data_.size() - pos_; }
@@ -118,6 +146,18 @@ class Reader {
     }
     pos_ += n;
     return static_cast<T>(v);
+  }
+
+  /// A `bitstring` field's bit count and packed bytes, in place;
+  /// `bignat_view` adds the check that makes it a natural.
+  std::optional<NatView> packed_bits() {
+    const auto nbits = u64();
+    // Guard against absurd length fields before allocating.
+    if (!nbits || *nbits > remaining() * std::uint64_t{8}) return std::nullopt;
+    const auto bits = static_cast<std::size_t>(*nbits);
+    const NatView v{bits, data_.subspan(pos_, ceil_div(bits, 8))};
+    pos_ += v.packed.size();
+    return v;
   }
 
   std::span<const std::uint8_t> data_;

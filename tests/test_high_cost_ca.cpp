@@ -6,6 +6,7 @@
 #include "adversary/strategies.h"
 #include "tests/support.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace coca::ca {
 namespace {
@@ -167,6 +168,67 @@ TEST(HighCostCA, CommunicationCubicInN) {
       static_cast<double>(bytes_for(16)) / static_cast<double>(bytes_for(8));
   EXPECT_GT(ratio, 5.0);
   EXPECT_LT(ratio, 12.0);
+}
+
+// A padding bit is no part of a natural. Party 3 runs honest code but sets
+// the lowest padding bit of every natural it sends whose bit count is not a
+// multiple of 8, and party 2 is silent. The two honest parties hold one
+// value, so in each king phase their CURRENT reaches n - t = 3 only with
+// party 3's dirty copy counted as the same natural. The honest parties'
+// traffic and outputs must be those of the run with clean padding.
+TEST(HighCostCA, DirtyPaddingIsTheSameNatural) {
+  class DirtyPadding final : public net::SendTap {
+   public:
+    void on_send(std::size_t, int to, net::Payload payload,
+                 const Emit& emit) override {
+      Bytes raw = std::move(payload).detach();
+      Reader r(raw);
+      while (const auto v = r.bignat_view()) {
+        if (v->bits % 8 == 0) continue;
+        const auto last = v->packed.data() + v->packed.size() - 1 - raw.data();
+        raw[static_cast<std::size_t>(last)] |= 1;
+      }
+      emit(to, net::Payload(std::move(raw)));
+    }
+  };
+  const HighCostCA ca;
+  const BigNat value(5);  // three bits: five padding bits
+  struct Run {
+    net::Transcript transcript;
+    std::vector<std::optional<BigNat>> outputs =
+        std::vector<std::optional<BigNat>>(2);
+  };
+  const auto run = [&](bool dirty) {
+    Run out;
+    net::SyncNetwork net(4, 1);
+    net.set_transcript(&out.transcript);
+    for (const int id : {0, 1}) {
+      net.set_honest(id, [&, id](net::PartyContext& ctx) {
+        out.outputs[static_cast<std::size_t>(id)] = ca.run(ctx, value);
+      });
+    }
+    net.set_byzantine(2, std::make_shared<adv::Silent>());
+    net.set_byzantine_protocol(
+        3, [&](net::PartyContext& ctx) { (void)ca.run(ctx, value); },
+        dirty ? std::make_shared<DirtyPadding>() : nullptr);
+    (void)net.run();
+    return out;
+  };
+  const auto honest_traffic = [](const net::Transcript& transcript) {
+    std::vector<std::tuple<std::size_t, int, int, Bytes>> sent;
+    for (std::size_t r = 0; r < transcript.rounds.size(); ++r) {
+      for (const auto& m : transcript.rounds[r].messages) {
+        if (m.from < 2) sent.emplace_back(r, m.from, m.to, m.payload.owned());
+      }
+    }
+    return sent;
+  };
+  const Run clean = run(false);
+  const Run dirty = run(true);
+  ASSERT_NE(dirty.transcript, clean.transcript);  // the padding did change
+  EXPECT_EQ(honest_traffic(dirty.transcript), honest_traffic(clean.transcript));
+  EXPECT_EQ(dirty.outputs, clean.outputs);
+  for (const auto& out : clean.outputs) EXPECT_EQ(out, value);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cfenv>
 #include <csignal>
 #include <cstdint>
+#include <map>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -334,6 +335,55 @@ TEST(SyncNetwork, FirstPerSenderDeduplicates) {
   EXPECT_EQ(dedup[0].payload, Bytes{1});
   EXPECT_EQ(dedup[1].payload, Bytes{3});
   EXPECT_EQ(dedup[2].payload, Bytes{4});
+}
+
+// tally() against a reference kept here: first delivered message per
+// sender, the validity filter, then a std::map<Payload, int> count, whose
+// key order is the byte order tally() must reproduce.
+TEST(SyncNetwork, TallyMatchesMapReference) {
+  const auto valid = [](std::span<const std::uint8_t> p) {
+    return p.empty() || p[0] != 3;
+  };
+  const auto reference = [&](const std::vector<Envelope>& inbox) {
+    std::map<int, Payload> first;
+    for (const Envelope& e : inbox) first.try_emplace(e.from, e.payload);
+    std::map<Payload, int> counts;
+    for (const auto& [from, payload] : first) {
+      if (valid(payload)) ++counts[payload];
+    }
+    return std::vector<std::pair<Payload, int>>(counts.begin(), counts.end());
+  };
+  const auto check = [&](const std::vector<Envelope>& inbox) {
+    const auto want = reference(inbox);
+    const auto got = tally(inbox, valid);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].value, want[i].first) << "entry " << i;
+      EXPECT_EQ(got[i].count, want[i].second) << "entry " << i;
+    }
+  };
+  const Bytes wide(40, 7);  // past Payload::kInline: a shared view
+  check({});
+  check({{0, Bytes{3}}, {1, Bytes{3, 1}}});       // nothing valid
+  check({{2, wide}, {0, wide}, {1, wide}});       // all equal
+  check({{3, Bytes{}}, {1, Bytes{9}}, {0, Bytes{1}}, {2, wide}});  // distinct
+  check({{0, Bytes{2}}, {1, Bytes{1}}, {2, Bytes{1}}, {3, Bytes{2}}});  // tie
+  check({{0, Bytes{5}}, {0, Bytes{1}}, {1, Bytes{1}}, {1, Bytes{5}}});  // dups
+  Rng rng(0x7A11);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<Envelope> inbox(rng.below(24));
+    for (Envelope& e : inbox) {
+      e.from = static_cast<int>(rng.below(10));  // repeats, any order
+      if (rng.below(8) == 0) {
+        e.payload = Payload(wide);
+        continue;
+      }
+      Bytes b(rng.below(3));
+      for (auto& x : b) x = static_cast<std::uint8_t>(rng.below(4));  // ties
+      e.payload = Payload(std::move(b));
+    }
+    check(inbox);
+  }
 }
 
 TEST(SyncNetwork, FirstPerSenderFiltersASortedInboxInPlace) {
