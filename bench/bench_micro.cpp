@@ -4,6 +4,9 @@
 // building blocks on the simulator.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <span>
+
 #include "ba/long_ba_plus.h"
 #include "ba/phase_king.h"
 #include "ba/turpin_coan.h"
@@ -12,6 +15,7 @@
 #include "crypto/sha256.h"
 #include "net/sync_network.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace {
 
@@ -41,8 +45,10 @@ void BM_MerkleBuild(benchmark::State& state) {
   Rng rng(2);
   std::vector<Bytes> leaves;
   for (int i = 0; i < state.range(0); ++i) leaves.push_back(rng.bytes(128));
+  const std::vector<std::span<const std::uint8_t>> views(leaves.begin(),
+                                                         leaves.end());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::MerkleTree::build(leaves));
+    benchmark::DoNotOptimize(crypto::MerkleTree::build_views(views));
   }
 }
 BENCHMARK(BM_MerkleBuild)->Arg(8)->Arg(32)->Arg(128)->Arg(1024);
@@ -51,7 +57,9 @@ void BM_MerkleVerify(benchmark::State& state) {
   Rng rng(3);
   std::vector<Bytes> leaves;
   for (int i = 0; i < state.range(0); ++i) leaves.push_back(rng.bytes(128));
-  const auto tree = crypto::MerkleTree::build(leaves);
+  const std::vector<std::span<const std::uint8_t>> views(leaves.begin(),
+                                                         leaves.end());
+  const auto tree = crypto::MerkleTree::build_views(views);
   const auto witness = tree.witness(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::MerkleTree::verify(
@@ -67,8 +75,12 @@ void BM_RSEncode(benchmark::State& state) {
                               static_cast<std::size_t>(n - t));
   Rng rng(4);
   const Bytes data = rng.bytes(static_cast<std::size_t>(state.range(1)));
+  const std::size_t coded_size = rs.n() * rs.share_size(data.size());
+  const auto coded = std::make_unique_for_overwrite<std::uint8_t[]>(coded_size);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rs.encode(data));
+    rs.encode(data, {coded.get(), coded_size});
+    benchmark::DoNotOptimize(coded.get());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(1));
@@ -108,12 +120,15 @@ void BM_RSDecode(benchmark::State& state) {
   const codec::ReedSolomon rs(static_cast<std::size_t>(n), k);
   Rng rng(5);
   const Bytes data = rng.bytes(static_cast<std::size_t>(state.range(1)));
-  const auto shares = rs.encode(data);
+  const std::size_t ssize = rs.share_size(data.size());
+  Bytes coded(rs.n() * ssize);
+  rs.encode(data, coded);
   // Decode from the non-systematic tail to force real interpolation.
-  std::vector<std::pair<std::size_t, Bytes>> pool;
+  std::vector<codec::ShareView> pool;
   for (std::size_t i = static_cast<std::size_t>(n) - k;
        i < static_cast<std::size_t>(n); ++i) {
-    pool.emplace_back(i, shares[i]);
+    pool.push_back({i, std::span<const std::uint8_t>(coded).subspan(
+                           i * ssize, ssize)});
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(rs.decode(pool, data.size()));
@@ -188,6 +203,19 @@ void BM_WideSubstr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WideSubstr)->Unit(benchmark::kMicrosecond);
+
+// FindPrefixBlocks's first lBA+ input at l = 2^22: the wire form of a
+// half-value window written straight from the value, at an odd offset.
+void BM_WideWindowWire(benchmark::State& state) {
+  Rng rng(14);
+  const Bitstring b = rng.bits(kWideEll + kOddBits);
+  for (auto _ : state) {
+    Writer w;
+    w.bitstring(b, kOddBits, kWideEll / 2);
+    benchmark::DoNotOptimize(std::move(w).take());
+  }
+}
+BENCHMARK(BM_WideWindowWire)->Unit(benchmark::kMicrosecond);
 
 void BM_WideToBits(benchmark::State& state) {
   Rng rng(12);

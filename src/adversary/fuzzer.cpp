@@ -401,7 +401,7 @@ FuzzOutcome run_find_prefix(const FuzzCase& c, const ExecHooks& hooks) {
         for (std::size_t id = 0; id < outputs.size(); ++id) {
           const auto& res = outputs[id];
           if (!res) continue;
-          if (res->v.size() != c.ell || res->v_bot.size() != c.ell) {
+          if (res->v.size() != c.ell || res->v_bot().size() != c.ell) {
             o.verdict.violations.push_back(
                 "validity: party " + std::to_string(id) +
                 " holds a non-ell-bit v / v_bot");
@@ -412,7 +412,7 @@ FuzzOutcome run_find_prefix(const FuzzCase& c, const ExecHooks& hooks) {
                 "validity: party " + std::to_string(id) +
                 " holds v that does not extend PREFIX*");
           }
-          for (const Bitstring* w : {&res->v, &res->v_bot}) {
+          for (const Bitstring* w : {&res->v, &res->v_bot()}) {
             if (Bitstring::numeric_compare(*w, *lo) < 0 ||
                 Bitstring::numeric_compare(*hi, *w) < 0) {
               o.verdict.violations.push_back(

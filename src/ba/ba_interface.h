@@ -61,25 +61,25 @@ inline Bytes encode_maybe(const MaybeBytes& v) {
   return std::move(w).take();
 }
 
+/// True iff `raw` is a well-formed tagged encoding: decode_maybe's check,
+/// read in place. Vote counts pass it to `net::tally`, so a counted value
+/// is decoded into owned bytes only when a party adopts it.
+inline bool is_maybe(std::span<const std::uint8_t> raw) {
+  Reader r(raw);
+  const auto tag = r.u8();
+  if (tag == 0) return r.at_end();
+  return tag == 1 && r.bytes_view() && r.at_end();
+}
+
 /// Strict decode of the tagged encoding; nullopt-of-optional is expressed as
 /// the outer optional being empty (malformed), the inner being bottom.
 /// Span-typed so received payloads decode in place, whether they are owned
 /// Bytes or zero-copy slab views off the wire.
 inline std::optional<MaybeBytes> decode_maybe(
     std::span<const std::uint8_t> raw) {
-  Reader r(raw);
-  const auto tag = r.u8();
-  if (!tag) return std::nullopt;
-  if (*tag == 0) {
-    if (!r.at_end()) return std::nullopt;
-    return MaybeBytes{std::nullopt};
-  }
-  if (*tag == 1) {
-    auto b = r.bytes();
-    if (!b || !r.at_end()) return std::nullopt;
-    return MaybeBytes{std::move(*b)};
-  }
-  return std::nullopt;
+  if (!is_maybe(raw)) return std::nullopt;
+  if (raw[0] == 0) return MaybeBytes{std::nullopt};
+  return MaybeBytes{Bytes(raw.begin() + 5, raw.end())};  // past tag, length
 }
 
 }  // namespace coca::ba

@@ -15,7 +15,7 @@ using crypto::Digest;
 using crypto::MerkleTree;
 using crypto::MerkleWitness;
 
-Bytes encode_tuple(std::size_t index, const Bytes& share,
+Bytes encode_tuple(std::size_t index, std::span<const std::uint8_t> share,
                    const MerkleWitness& witness) {
   Writer w;
   w.u32(narrow<std::uint32_t>(index));
@@ -27,9 +27,11 @@ Bytes encode_tuple(std::size_t index, const Bytes& share,
   return std::move(w).take();
 }
 
+/// A received (index, share, witness) tuple; `share` is a view into the
+/// message it came in, which must outlive the tuple.
 struct Tuple {
   std::size_t index;
-  Bytes share;
+  std::span<const std::uint8_t> share;
   MerkleWitness witness;
 };
 
@@ -37,7 +39,7 @@ std::optional<Tuple> decode_tuple(std::span<const std::uint8_t> raw) {
   Reader r(raw);
   const auto index = r.u32();
   if (!index) return std::nullopt;
-  auto share = r.bytes();
+  const auto share = r.bytes_view();
   if (!share) return std::nullopt;
   const auto wlen = r.u8();
   if (!wlen || r.remaining() != static_cast<std::size_t>(*wlen) * 32) {
@@ -47,7 +49,7 @@ std::optional<Tuple> decode_tuple(std::span<const std::uint8_t> raw) {
   for (auto& d : witness) {
     for (auto& byte : d) byte = *r.u8();
   }
-  return Tuple{*index, std::move(*share), std::move(witness)};
+  return Tuple{*index, *share, std::move(witness)};
 }
 
 /// This thread's code for the last (n, k) it was asked for. Every party of
@@ -78,15 +80,28 @@ MaybeBytes LongBAPlus::run(net::PartyContext& ctx,
   // so that all honest parties reconstruct the exact byte length without
   // trusting any per-tuple metadata.
   const std::shared_ptr<const codec::ReedSolomon> rs = code_for(n, k);
-  Bytes payload;
+  // Both buffers are written whole before they are read, so neither is
+  // zero-filled: the payload by the prefix and the input, the codewords by
+  // the encoder. The payload is freed once encoded.
+  const std::size_t payload_size = 8 + input.size();
+  const std::size_t ssize = rs->share_size(payload_size);
+  const auto codewords =
+      std::make_unique_for_overwrite<std::uint8_t[]>(n * ssize);
   {
-    Writer w;
-    w.u64(input.size());
-    w.raw(input);
-    payload = std::move(w).take();
+    const auto payload =
+        std::make_unique_for_overwrite<std::uint8_t[]>(payload_size);
+    for (std::size_t i = 0; i < 8; ++i) {
+      payload[i] = static_cast<std::uint8_t>(input.size() >> (8 * i));
+    }
+    std::copy(input.begin(), input.end(), payload.get() + 8);
+    rs->encode({payload.get(), payload_size}, {codewords.get(), n * ssize});
   }
-  const std::vector<Bytes> shares = rs->encode(payload);
-  const MerkleTree tree = MerkleTree::build(shares);
+  std::vector<std::span<const std::uint8_t>> shares;
+  shares.reserve(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    shares.emplace_back(codewords.get() + j * ssize, ssize);
+  }
+  const MerkleTree tree = MerkleTree::build_views(shares);
   const Digest z = tree.root();
 
   // Step 2: agree on a root via Pi_BA+.
@@ -116,8 +131,10 @@ MaybeBytes LongBAPlus::run(net::PartyContext& ctx,
     return tup.index < n && MerkleTree::verify(z_star, n, tup.index, tup.share,
                                                tup.witness);
   };
+  // Received shares stay views into these inboxes until the decode.
+  const std::vector<net::Envelope> sent_to_me = ctx.advance();
   std::optional<Tuple> mine;
-  for (const auto& e : ctx.advance()) {
+  for (const auto& e : sent_to_me) {
     auto tup = decode_tuple(e.payload);
     if (!tup || tup->index != static_cast<std::size_t>(ctx.id())) continue;
     if (is_valid(*tup)) {
@@ -130,22 +147,23 @@ MaybeBytes LongBAPlus::run(net::PartyContext& ctx,
   // codewords received (any valid tuple is genuine under collision
   // resistance, whoever forwarded it).
   if (mine) ctx.send_all(encode_tuple(mine->index, mine->share, mine->witness));
-  std::map<std::size_t, Bytes> verified;
+  std::map<std::size_t, std::span<const std::uint8_t>> verified;
   if (mine) verified.emplace(mine->index, mine->share);
-  for (const auto& e : ctx.advance()) {
-    auto tup = decode_tuple(e.payload);
+  const std::vector<net::Envelope> forwarded = ctx.advance();
+  for (const auto& e : forwarded) {
+    const auto tup = decode_tuple(e.payload);
     if (!tup || verified.contains(tup->index)) continue;
-    if (is_valid(*tup)) verified.emplace(tup->index, std::move(tup->share));
+    if (is_valid(*tup)) verified.emplace(tup->index, tup->share);
   }
   if (verified.size() < k) return std::nullopt;  // unreachable for t' <= t
 
   // All verified shares are codewords of the z*-holder's encoding, so they
   // share one length; decode the padded payload and strip the prefix.
   const std::size_t share_len = verified.begin()->second.size();
-  std::vector<std::pair<std::size_t, Bytes>> pool;
+  std::vector<codec::ShareView> pool;
   pool.reserve(verified.size());
-  for (auto& [idx, share] : verified) {
-    if (share.size() == share_len) pool.emplace_back(idx, std::move(share));
+  for (const auto& [idx, share] : verified) {
+    if (share.size() == share_len) pool.push_back({idx, share});
   }
   const std::size_t padded_size = 2 * k * (share_len / 2);
   const auto padded = rs->decode(pool, padded_size);

@@ -64,22 +64,22 @@ MaybeBytes PhaseKingMultivalued::run(net::PartyContext& ctx,
     // Round 1: exchange v; adopt the unique value with >= n-t occurrences.
     ctx.send_all(encode_maybe(v));
     // At most one value can reach n-t distinct senders.
-    const auto counts = net::tally(ctx.advance(), decode_maybe);
+    const auto counts = net::tally(ctx.advance(), is_maybe);
     const net::ValueCount* u = net::first_reaching(counts, n - t);
 
     // Round 2: exchange u (or the none sentinel). m is the most frequent
     // real value, ties to the lexicographically smallest encoding; when no
     // real value was seen at all, m falls back to domain bottom.
     ctx.send_all(u ? u->value.owned() : Bytes{kNoneTag});
-    MaybeBytes m;  // bottom unless a real value was observed
-    int best = 0;
-    for (const auto& [enc, cnt] : net::tally(ctx.advance(), decode_maybe)) {
-      if (cnt > best) {  // ascending order = deterministic tiebreak
-        best = cnt;
-        m = *decode_maybe(enc);
-      }
+    const auto us = net::tally(ctx.advance(), is_maybe);
+    const net::ValueCount* most = nullptr;
+    for (const net::ValueCount& c : us) {
+      // Ascending order = deterministic tiebreak.
+      if (most == nullptr || c.count > most->count) most = &c;
     }
-    const bool strong = best >= n - t;
+    // Bottom unless a real value was observed.
+    const MaybeBytes m = most ? *decode_maybe(most->value) : std::nullopt;
+    const bool strong = most != nullptr && most->count >= n - t;
 
     // Round 3: king broadcast; missing/malformed reads as bottom.
     if (ctx.id() == phase) ctx.send_all(encode_maybe(m));

@@ -16,13 +16,13 @@ MaybeBytes TurpinCoan::run(net::PartyContext& ctx,
   ctx.send_all(encode_maybe(input));
   // Counted values are payload views: re-sending the winning encoding
   // copies no byte between receive and echo.
-  const auto counts = net::tally(ctx.advance(), decode_maybe);
+  const auto counts = net::tally(ctx.advance(), is_maybe);
   const net::ValueCount* y = net::first_reaching(counts, n - t);
 
   // Round 2: distribute y (or none). Honest y's can name at most one value,
   // so a value echoed by >= n-t senders certifies near pre-agreement.
   ctx.send_all(y ? y->value : net::Payload::inline_of({kNoneTag}));
-  const auto echoes = net::tally(ctx.advance(), decode_maybe);
+  const auto echoes = net::tally(ctx.advance(), is_maybe);
   const bool certified = net::first_reaching(echoes, n - t) != nullptr;
 
   // Binary BA decides whether the certified value is adopted.

@@ -6,9 +6,11 @@ namespace coca::ca {
 
 namespace {
 
-Bytes encode_window(const Bitstring& bits) {
+/// The wire form of the window of bits [pos, pos+len) of `v`, written
+/// straight from `v`.
+Bytes encode_window(const Bitstring& v, std::size_t pos, std::size_t len) {
   Writer w;
-  w.bitstring(bits);
+  w.bitstring(v, pos, len);
   return std::move(w).take();
 }
 
@@ -31,24 +33,26 @@ FindPrefixResult search(net::PartyContext& ctx, const ba::LongBAPlus& lba_plus,
                         std::size_t total_units, std::size_t unit,
                         Bitstring v) {
   // Paper line 1: LEFT := 1, RIGHT := total+1, v_bot := v, PREFIX* := empty.
+  // v_bot stays "v itself" until a fill replaces v; only then does the old
+  // v move into `old_v`.
+  const std::size_t ell = v.size();
   std::size_t left = 1;
   std::size_t right = total_units + 1;
-  Bitstring v_bot = v;
+  std::optional<Bitstring> old_v;
   Bitstring prefix;
 
   while (left != right) {
     const std::size_t mid = (left + right) / 2;
     // Window of units LEFT..MID (1-indexed, inclusive) of the current value.
-    const Bitstring window =
-        v.substr((left - 1) * unit, (mid - left + 1) * unit);
+    const std::size_t pos = (left - 1) * unit;
+    const std::size_t len = (mid - left + 1) * unit;
     const auto agreed =
-        decode_window(lba_plus.run(ctx, encode_window(window)),
-                      (mid - left + 1) * unit);
+        decode_window(lba_plus.run(ctx, encode_window(v, pos, len)), len);
     if (!agreed) {
       // Bounded Pre-Agreement: for any MID-unit bitstring, t+1 honest
       // values diverge from it; remember the current value as witness and
       // keep searching in the left half.
-      v_bot = v;
+      old_v.reset();
       right = mid;
     } else {
       // Intrusion Tolerance: prefix || agreed prefixes an honest value.
@@ -59,8 +63,10 @@ FindPrefixResult search(net::PartyContext& ctx, const ba::LongBAPlus& lba_plus,
               "find_prefix: PREFIX* out of step with the search position");
       const std::size_t agree = Bitstring::common_prefix_len(v, prefix);
       if (agree < prefix.size()) {
-        v = v.bit(agree) ? Bitstring::max_fill(prefix, v.size())
-                         : Bitstring::min_fill(prefix, v.size());
+        const bool above = v.bit(agree);
+        if (!old_v) old_v = std::move(v);
+        v = above ? Bitstring::max_fill(prefix, ell)
+                  : Bitstring::min_fill(prefix, ell);
       }
 #ifdef COCA_CANARY_BUG
       // Planted off-by-one (cmake -DCOCA_CANARY_BUG=ON): failing to step
@@ -74,7 +80,7 @@ FindPrefixResult search(net::PartyContext& ctx, const ba::LongBAPlus& lba_plus,
 #endif
     }
   }
-  return {std::move(prefix), std::move(v), std::move(v_bot)};
+  return {std::move(prefix), std::move(v), std::move(old_v)};
 }
 
 }  // namespace

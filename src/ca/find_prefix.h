@@ -23,17 +23,24 @@
 // O(l n) matches Theorem 4.)
 #pragma once
 
+#include <optional>
+
 #include "ba/long_ba_plus.h"
 #include "util/bitstring.h"
 
 namespace coca::ca {
 
 /// Result of the prefix search (Lemma 1 / Lemma 4): the agreed PREFIX*, a
-/// valid value v extending it, and the divergence witness v_bot.
+/// valid value v extending it, and the divergence witness v_bot().
 struct FindPrefixResult {
   Bitstring prefix;
   Bitstring v;
-  Bitstring v_bot;
+  /// v_bot when it is not v: the value v held when a fill replaced it after
+  /// the last bottom. Empty when v_bot is v itself, so the search never
+  /// copies an ell-bit value to keep its witness.
+  std::optional<Bitstring> old_v;
+
+  const Bitstring& v_bot() const { return old_v ? *old_v : v; }
 };
 
 /// FindPrefix: binary search over bit positions 1..l. Honest callers join

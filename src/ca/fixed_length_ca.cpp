@@ -17,7 +17,7 @@ Bitstring FixedLengthCA::run(net::PartyContext& ctx, std::size_t ell,
       add_last_bit(ctx, *kit_.binary, ell, fp.v, std::move(fp.prefix));
 
   // Line 3: decide between the two remaining candidates.
-  return get_output(ctx, *kit_.binary, ell, fp.v_bot, prefix);
+  return get_output(ctx, *kit_.binary, ell, fp.v_bot(), prefix);
 }
 
 }  // namespace coca::ca

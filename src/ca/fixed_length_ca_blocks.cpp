@@ -46,7 +46,7 @@ Bitstring FixedLengthCABlocks::run(net::PartyContext& ctx, std::size_t ell,
       add_last_block(ctx, ell, block_bits, fp.v, std::move(fp.prefix));
 
   // Line 3: decide between the two remaining candidates.
-  return get_output(ctx, *kit_.binary, ell, fp.v_bot, prefix);
+  return get_output(ctx, *kit_.binary, ell, fp.v_bot(), prefix);
 }
 
 }  // namespace coca::ca

@@ -77,8 +77,11 @@ MulBy::MulBy(const GF16& f, Elem c) {
       nib_[2 * s + 1][d] = static_cast<std::uint8_t>(nib[s][d] >> 8);
     }
   }
-  // Fold nibble pairs into byte tables by GF(2)-linearity: XORs only, in
-  // rows of 16 the compiler vectorizes.
+  // Without AVX2 the scalar loop runs: fold nibble pairs into byte tables
+  // by GF(2)-linearity, XORs only, in rows of 16 the compiler vectorizes.
+  // The AVX2 loop reads only the nibble tables.
+  if (detail::avx2_available()) return;
+  folded_ = true;
   for (int h = 0; h < 16; ++h) {
     for (int l = 0; l < 16; ++l) {
       lo_[16 * h + l] = static_cast<Elem>(nib[0][l] ^ nib[1][h]);
@@ -156,26 +159,16 @@ bool avx2_available() {
 
 namespace {
 
-// One loop for both entry points: `kAccumulate` selects dst ^= c*src over
-// dst = c*src. Byte 2i of the buffer is symbol i's high byte h, byte 2i+1
-// its low byte l; the product's high byte lands at 2i, its low byte at 2i+1.
+// One 32-byte step of both entry points: `kAccumulate` selects
+// dst ^= c*src over dst = c*src. Byte 2i of the buffer is symbol i's high
+// byte h, byte 2i+1 its low byte l; the product's high byte lands at 2i,
+// its low byte at 2i+1. lo[s] / hi[s]: the low / high product byte tables
+// for nibble position s, broadcast to both 128-bit lanes (PSHUFB looks up
+// within a lane).
 template <bool kAccumulate>
-__attribute__((target("avx2"))) void avx2_loop(const MulBy& m,
-                                               std::uint8_t* dst,
-                                               const std::uint8_t* src,
-                                               std::size_t bytes) {
-  const auto& nib = m.nibble_tables();
-  const auto* t = reinterpret_cast<const __m128i*>(nib);
-  // t[2s] / t[2s + 1]: low / high product byte for nibble position s,
-  // broadcast to both 128-bit lanes (PSHUFB looks up within a lane).
-  const __m256i lo0 = _mm256_broadcastsi128_si256(_mm_load_si128(t + 0));
-  const __m256i hi0 = _mm256_broadcastsi128_si256(_mm_load_si128(t + 1));
-  const __m256i lo1 = _mm256_broadcastsi128_si256(_mm_load_si128(t + 2));
-  const __m256i hi1 = _mm256_broadcastsi128_si256(_mm_load_si128(t + 3));
-  const __m256i lo2 = _mm256_broadcastsi128_si256(_mm_load_si128(t + 4));
-  const __m256i hi2 = _mm256_broadcastsi128_si256(_mm_load_si128(t + 5));
-  const __m256i lo3 = _mm256_broadcastsi128_si256(_mm_load_si128(t + 6));
-  const __m256i hi3 = _mm256_broadcastsi128_si256(_mm_load_si128(t + 7));
+__attribute__((target("avx2"), always_inline)) inline void avx2_step(
+    const __m256i (&lo)[4], const __m256i (&hi)[4], std::uint8_t* dst,
+    const std::uint8_t* src) {
   const __m256i nibble = _mm256_set1_epi8(0x0F);
   // Swaps the two bytes of every symbol.
   const __m256i swap = _mm256_setr_epi8(
@@ -183,39 +176,58 @@ __attribute__((target("avx2"))) void avx2_loop(const MulBy& m,
       1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14);
   // Top bit set in the odd (low-byte) positions: the blend selector.
   const __m256i odd = _mm256_set1_epi16(static_cast<short>(0xFF00));
+  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
+  const __m256i p = _mm256_shuffle_epi8(v, swap);  // each byte's partner
+  const __m256i v0 = _mm256_and_si256(v, nibble);
+  const __m256i v1 = _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble);
+  const __m256i p0 = _mm256_and_si256(p, nibble);
+  const __m256i p1 = _mm256_and_si256(_mm256_srli_epi16(p, 4), nibble);
+  // Even bytes hold h (own) and l (partner): the product's high byte.
+  const __m256i even = _mm256_xor_si256(
+      _mm256_xor_si256(_mm256_shuffle_epi8(hi[0], p0),
+                       _mm256_shuffle_epi8(hi[1], p1)),
+      _mm256_xor_si256(_mm256_shuffle_epi8(hi[2], v0),
+                       _mm256_shuffle_epi8(hi[3], v1)));
+  // Odd bytes hold l (own) and h (partner): the product's low byte.
+  const __m256i odd_bytes = _mm256_xor_si256(
+      _mm256_xor_si256(_mm256_shuffle_epi8(lo[0], v0),
+                       _mm256_shuffle_epi8(lo[1], v1)),
+      _mm256_xor_si256(_mm256_shuffle_epi8(lo[2], p0),
+                       _mm256_shuffle_epi8(lo[3], p1)));
+  __m256i y = _mm256_blendv_epi8(even, odd_bytes, odd);
+  if constexpr (kAccumulate) {
+    y = _mm256_xor_si256(
+        y, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst)));
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), y);
+}
 
+// 32 bytes per step; the last, partial step runs on zero-padded copies of
+// the tail, so no buffer needs the scalar loop or its byte tables.
+template <bool kAccumulate>
+__attribute__((target("avx2"))) void avx2_loop(const MulBy& m,
+                                               std::uint8_t* dst,
+                                               const std::uint8_t* src,
+                                               std::size_t bytes) {
+  const auto* t = reinterpret_cast<const __m128i*>(m.nibble_tables());
+  __m256i lo[4];
+  __m256i hi[4];
+  for (int s = 0; s < 4; ++s) {
+    lo[s] = _mm256_broadcastsi128_si256(_mm_load_si128(t + 2 * s));
+    hi[s] = _mm256_broadcastsi128_si256(_mm_load_si128(t + 2 * s + 1));
+  }
   std::size_t i = 0;
   for (; i + 32 <= bytes; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i p = _mm256_shuffle_epi8(v, swap);  // each byte's partner
-    const __m256i v0 = _mm256_and_si256(v, nibble);
-    const __m256i v1 = _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble);
-    const __m256i p0 = _mm256_and_si256(p, nibble);
-    const __m256i p1 = _mm256_and_si256(_mm256_srli_epi16(p, 4), nibble);
-    // Even bytes hold h (own) and l (partner): the product's high byte.
-    const __m256i even = _mm256_xor_si256(
-        _mm256_xor_si256(_mm256_shuffle_epi8(hi0, p0),
-                         _mm256_shuffle_epi8(hi1, p1)),
-        _mm256_xor_si256(_mm256_shuffle_epi8(hi2, v0),
-                         _mm256_shuffle_epi8(hi3, v1)));
-    // Odd bytes hold l (own) and h (partner): the product's low byte.
-    const __m256i odd_bytes = _mm256_xor_si256(
-        _mm256_xor_si256(_mm256_shuffle_epi8(lo0, v0),
-                         _mm256_shuffle_epi8(lo1, v1)),
-        _mm256_xor_si256(_mm256_shuffle_epi8(lo2, p0),
-                         _mm256_shuffle_epi8(lo3, p1)));
-    __m256i y = _mm256_blendv_epi8(even, odd_bytes, odd);
-    if constexpr (kAccumulate) {
-      y = _mm256_xor_si256(
-          y, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i)));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), y);
+    avx2_step<kAccumulate>(lo, hi, dst + i, src + i);
   }
-  if constexpr (kAccumulate) {
-    axpy_be_scalar(m, dst + i, src + i, bytes - i);
-  } else {
-    mul_be_scalar(m, dst + i, src + i, bytes - i);
+  if (i < bytes) {
+    const std::size_t rest = bytes - i;
+    std::uint8_t s[32] = {};
+    std::uint8_t d[32] = {};
+    std::memcpy(s, src + i, rest);
+    if constexpr (kAccumulate) std::memcpy(d, dst + i, rest);
+    avx2_step<kAccumulate>(lo, hi, d, s);
+    std::memcpy(dst + i, d, rest);
   }
 }
 

@@ -9,17 +9,18 @@
 // `MulBy` is the bulk-multiplication kernel: multiplication by a fixed
 // constant c is GF(2)-linear in the 16 input bits, so c*x decomposes into
 // XORs of per-nibble partial products. The constructor builds the four
-// nibble tables (16 field muls) and keeps them twice: as eight 16-byte
-// tables (the low and high product byte per nibble position) and folded
-// into two 256-entry byte tables (XORs only). `mul_be`/`axpy_be` stream
+// nibble tables (16 field muls) as eight 16-byte tables (the low and high
+// product byte per nibble position) and, only on hosts without AVX2, where
+// the scalar loop runs, folds them into two 256-entry byte tables (XORs
+// only). `mul_be`/`axpy_be` stream
 // over big-endian symbol buffers -- the inner loop of Reed-Solomon encode
 // and decode -- and dispatch at run time:
 //   * AVX2 (split-nibble technique, Plank, Greenan and Miller, FAST 2013):
 //     per 32 bytes one byte-swap PSHUFB fetches each symbol's partner byte,
 //     eight table PSHUFBs look up the nibbles, and one blend keeps each
-//     byte's half of the product;
-//   * scalar: two byte-table lookups per symbol. It handles the tail under
-//     32 bytes and every buffer on hosts without AVX2.
+//     byte's half of the product; a tail under 32 bytes takes one more
+//     step on a zero-padded copy;
+//   * scalar: two byte-table lookups per symbol, on hosts without AVX2.
 // Both loops compute the same field products, so the choice never changes
 // a codeword. The AVX2 loop is one `target("avx2")` function behind a
 // cached CPUID check; the build sets no global ISA flag.
@@ -73,18 +74,26 @@ class GF16 {
 
 /// Multiplication by a fixed field constant, for bulk symbol streams.
 ///
-/// Construction costs 16 field muls plus XORs (the nibble tables) and 512
-/// XORs (folding them into byte tables); amortize it over a few hundred
-/// bytes -- Reed-Solomon keeps a scalar path for small buffers.
+/// Construction costs 16 field muls plus XORs (the nibble tables), and
+/// without AVX2 512 XORs more (folding them into byte tables); amortize it
+/// over a few hundred bytes -- Reed-Solomon keeps a scalar path for small
+/// buffers.
 class MulBy {
  public:
   using Elem = GF16::Elem;
 
   MulBy(const GF16& f, Elem c);
 
-  /// c * x, two L1 lookups.
+  /// c * x: two byte-table lookups where the tables are folded (no AVX2),
+  /// else four nibble-table lookups.
   Elem operator()(Elem x) const {
-    return static_cast<Elem>(lo_[x & 0xFF] ^ hi_[x >> 8]);
+    if (folded_) return static_cast<Elem>(lo_[x & 0xFF] ^ hi_[x >> 8]);
+    Elem y = 0;
+    for (int s = 0; s < 4; ++s) {
+      const unsigned d = (x >> (4 * s)) & 0xFU;
+      y ^= static_cast<Elem>(nib_[2 * s][d] | nib_[2 * s + 1][d] << 8);
+    }
+    return y;
   }
 
   /// dst = c * src over `bytes` bytes of big-endian 16-bit symbols
@@ -103,8 +112,10 @@ class MulBy {
   const NibbleTables& nibble_tables() const { return nib_; }
 
  private:
-  Elem lo_[256];  // c * x for x in 0..255 (low source byte)
-  Elem hi_[256];  // c * (x << 8)         (high source byte)
+  // Set only where the scalar loop runs: on hosts without AVX2.
+  bool folded_ = false;
+  Elem lo_[256];  // c * x for x in 0..255 (low source byte), once folded
+  Elem hi_[256];  // c * (x << 8)         (high source byte), once folded
   alignas(16) NibbleTables nib_;
 };
 
@@ -116,7 +127,8 @@ namespace detail {
 using MulByKernel = void (*)(const MulBy& m, std::uint8_t* dst,
                              const std::uint8_t* src, std::size_t bytes);
 
-/// Two byte-table lookups per symbol; runs everywhere.
+/// Two byte-table lookups per symbol (four nibble-table lookups on an AVX2
+/// host, where the byte tables are not folded); runs everywhere.
 void mul_be_scalar(const MulBy& m, std::uint8_t* dst, const std::uint8_t* src,
                    std::size_t bytes);
 void axpy_be_scalar(const MulBy& m, std::uint8_t* dst,
@@ -126,7 +138,8 @@ void axpy_be_scalar(const MulBy& m, std::uint8_t* dst,
 /// (checked once, then cached).
 bool avx2_available();
 
-/// 32 bytes per step, scalar tail. Precondition: avx2_available().
+/// 32 bytes per step, the tail on a zero-padded copy. Precondition:
+/// avx2_available().
 void mul_be_avx2(const MulBy& m, std::uint8_t* dst, const std::uint8_t* src,
                  std::size_t bytes);
 void axpy_be_avx2(const MulBy& m, std::uint8_t* dst, const std::uint8_t* src,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
 
 #include "obs/obs.h"
 
@@ -69,7 +70,7 @@ std::vector<Elem> lagrange_rows(const GF16& f, const std::vector<Elem>& xs,
   return rows;
 }
 
-Elem load_symbol(const Bytes& data, std::size_t sym_index) {
+Elem load_symbol(std::span<const std::uint8_t> data, std::size_t sym_index) {
   const std::size_t off = 2 * sym_index;
   Elem v = 0;
   if (off < data.size()) v = static_cast<Elem>(data[off]) << 8;
@@ -77,7 +78,8 @@ Elem load_symbol(const Bytes& data, std::size_t sym_index) {
   return v;
 }
 
-void store_symbol(Bytes& data, std::size_t sym_index, Elem v) {
+void store_symbol(std::span<std::uint8_t> data, std::size_t sym_index,
+                  Elem v) {
   const std::size_t off = 2 * sym_index;
   if (off < data.size()) data[off] = static_cast<std::uint8_t>(v >> 8);
   if (off + 1 < data.size()) data[off + 1] = static_cast<std::uint8_t>(v);
@@ -97,24 +99,23 @@ std::size_t share_size_of(std::size_t k, std::size_t data_size) {
 }
 
 /// Selects the first k usable shares (distinct in-range indices, exact
-/// share size); returns their evaluation points and payload pointers in
-/// selection order, or false when fewer than k qualify. Shared by both
-/// decoders so they agree on selection down to tie-breaking.
+/// share size); returns their evaluation points and bytes in selection
+/// order, or false when fewer than k qualify. Shared by both decoders so
+/// they agree on selection down to tie-breaking.
 bool select_shares(std::size_t n, std::size_t k, std::size_t ssize,
-                   const std::vector<std::pair<std::size_t, Bytes>>& shares,
-                   std::vector<Elem>* xs,
-                   std::vector<const Bytes*>* payload) {
+                   std::span<const ShareView> shares, std::vector<Elem>* xs,
+                   std::vector<const std::uint8_t*>* payload) {
   xs->clear();
   xs->reserve(k);
-  payload->assign(k, nullptr);
+  payload->clear();
+  payload->reserve(k);
   std::vector<bool> taken(n, false);
-  std::size_t got = 0;
-  for (const auto& [idx, bytes] : shares) {
-    if (idx >= n || taken[idx] || bytes.size() != ssize) continue;
-    taken[idx] = true;
-    xs->push_back(static_cast<Elem>(idx));
-    (*payload)[got++] = &bytes;
-    if (got == k) return true;
+  for (const ShareView& s : shares) {
+    if (s.index >= n || taken[s.index] || s.bytes.size() != ssize) continue;
+    taken[s.index] = true;
+    xs->push_back(static_cast<Elem>(s.index));
+    payload->push_back(s.bytes.data());
+    if (payload->size() == k) return true;
   }
   return false;
 }
@@ -128,7 +129,8 @@ bool select_shares(std::size_t n, std::size_t k, std::size_t ssize,
 constexpr std::size_t kWideThresholdBytes = 448;
 
 // out = sum_j row[j] * in[j] for j < in.size(), over `ssize` bytes of
-// big-endian symbols; `out` must be zero-filled and must not alias an input.
+// big-endian symbols. Every byte of `out` is written, so it need not be
+// initialised; it must not alias an input.
 void combine(const GF16& f, const Elem* row,
              const std::vector<const std::uint8_t*>& in, std::uint8_t* out,
              std::size_t ssize) {
@@ -149,7 +151,7 @@ void combine(const GF16& f, const Elem* row,
   // resident instead of striding through every share per chunk.
   bool first = true;
   for (std::size_t j = 0; j < k; ++j) {
-    if (row[j] == 0) continue;  // contributes nothing; `out` is zero-filled
+    if (row[j] == 0) continue;  // contributes nothing
     const MulBy mb(f, row[j]);
     if (first) {
       mb.mul_be(out, in[j], ssize);
@@ -158,6 +160,7 @@ void combine(const GF16& f, const Elem* row,
       mb.axpy_be(out, in[j], ssize);
     }
   }
+  if (first) std::memset(out, 0, ssize);  // an all-zero row
 }
 
 // Four 16-bit words, each kept in its memory byte order, as the 8-byte
@@ -177,14 +180,15 @@ std::uint64_t pack4(const std::uint16_t sym[4]) {
 // data symbols j, k+j, 2k+j, ... (big-endian). One chunk-major pass over
 // the chunks wholly inside the payload, four chunks per step so that each
 // share takes its four 16-bit symbols as one 8-byte store; only the
-// zero-padded tail chunk goes through the bounds-checked loaders. `shares`
-// must hold >= k buffers of `ssize` bytes.
-void deinterleave_systematic(const Bytes& data, std::size_t k,
-                             std::size_t ssize, std::vector<Bytes>* shares) {
+// zero-padded tail chunk goes through the bounds-checked loaders. Share j
+// is written to out[j * ssize, (j + 1) * ssize), every byte of it.
+void deinterleave_systematic(std::span<const std::uint8_t> data,
+                             std::size_t k, std::size_t ssize,
+                             std::uint8_t* out) {
   const std::size_t stride = 2 * k;  // bytes per chunk
   const std::size_t whole = data.size() / stride;
   std::vector<std::uint8_t*> dst(k);
-  for (std::size_t j = 0; j < k; ++j) dst[j] = (*shares)[j].data();
+  for (std::size_t j = 0; j < k; ++j) dst[j] = out + j * ssize;
   const std::uint8_t* src = data.data();
   std::size_t c = 0;
   for (; c + 4 <= whole; c += 4, src += 4 * stride) {
@@ -204,7 +208,7 @@ void deinterleave_systematic(const Bytes& data, std::size_t k,
   }
   for (; c < ssize / 2; ++c) {
     for (std::size_t j = 0; j < k; ++j) {
-      store_symbol((*shares)[j], c, load_symbol(data, c * k + j));
+      store_symbol({dst[j], ssize}, c, load_symbol(data, c * k + j));
     }
   }
 }
@@ -234,7 +238,7 @@ void interleave(const std::vector<const std::uint8_t*>& cols,
 
 namespace ref_ {
 
-std::vector<Bytes> encode(std::size_t n, std::size_t k, const Bytes& data) {
+Bytes encode(std::size_t n, std::size_t k, std::span<const std::uint8_t> data) {
   const GF16& f = GF16::instance();
   const std::size_t ssize = share_size_of(k, data.size());
   const std::size_t chunks = ssize / 2;
@@ -245,14 +249,17 @@ std::vector<Bytes> encode(std::size_t n, std::size_t k, const Bytes& data) {
   for (std::size_t i = k; i < n; ++i) {
     parity.push_back(lagrange_row(f, nodes, static_cast<Elem>(i)));
   }
-  std::vector<Bytes> shares(n, Bytes(ssize, 0));
+  Bytes out(n * ssize, 0);
+  const auto share = [&](std::size_t i) {
+    return std::span<std::uint8_t>(out).subspan(i * ssize, ssize);
+  };
 
   std::vector<Elem> chunk(k);
   for (std::size_t c = 0; c < chunks; ++c) {
     for (std::size_t j = 0; j < k; ++j) {
       chunk[j] = load_symbol(data, c * k + j);
       // Systematic part: share j carries data symbol j of each chunk.
-      store_symbol(shares[j], c, chunk[j]);
+      store_symbol(share(j), c, chunk[j]);
     }
     for (std::size_t r = 0; r < n - k; ++r) {
       const std::vector<Elem>& row = parity[r];
@@ -260,22 +267,21 @@ std::vector<Bytes> encode(std::size_t n, std::size_t k, const Bytes& data) {
       for (std::size_t j = 0; j < k; ++j) {
         acc = GF16::add(acc, f.mul(row[j], chunk[j]));
       }
-      store_symbol(shares[k + r], c, acc);
+      store_symbol(share(k + r), c, acc);
     }
   }
-  return shares;
+  return out;
 }
 
-std::optional<Bytes> decode(
-    std::size_t n, std::size_t k,
-    const std::vector<std::pair<std::size_t, Bytes>>& shares,
-    std::size_t data_size) {
+std::optional<Bytes> decode(std::size_t n, std::size_t k,
+                            std::span<const ShareView> shares,
+                            std::size_t data_size) {
   const GF16& f = GF16::instance();
   const std::size_t ssize = share_size_of(k, data_size);
   const std::size_t chunks = ssize / 2;
 
   std::vector<Elem> xs;
-  std::vector<const Bytes*> payload;
+  std::vector<const std::uint8_t*> payload;
   if (!select_shares(n, k, ssize, shares, &xs, &payload)) return std::nullopt;
 
   // Interpolation rows for the k systematic target points.
@@ -291,7 +297,8 @@ std::optional<Bytes> decode(
       if (2 * sym >= data_size) break;
       Elem acc = 0;
       for (std::size_t j = 0; j < k; ++j) {
-        acc = GF16::add(acc, f.mul(rows[p][j], load_symbol(*payload[j], c)));
+        acc = GF16::add(acc, f.mul(rows[p][j],
+                                   load_symbol({payload[j], ssize}, c)));
       }
       store_symbol(out, sym, acc);
     }
@@ -313,40 +320,37 @@ ReedSolomon::ReedSolomon(std::size_t n, std::size_t k) : n_(n), k_(k) {
   parity_ = lagrange_rows(GF16::instance(), nodes, parity_points);
 }
 
-std::vector<Bytes> ReedSolomon::encode(const Bytes& data) const {
+void ReedSolomon::encode(std::span<const std::uint8_t> data,
+                         std::span<std::uint8_t> out) const {
   COCA_OBS_SPAN("rs.encode", "kernel");
   const std::size_t ssize = share_size(data.size());
-  std::vector<Bytes> shares(n_, Bytes(ssize, 0));
-  deinterleave_systematic(data, k_, ssize, &shares);
+  require(out.size() == n_ * ssize,
+          "ReedSolomon::encode: output must hold exactly n shares");
+  deinterleave_systematic(data, k_, ssize, out.data());
 
   const GF16& f = GF16::instance();
   std::vector<const std::uint8_t*> systematic(k_);
-  for (std::size_t j = 0; j < k_; ++j) systematic[j] = shares[j].data();
+  for (std::size_t j = 0; j < k_; ++j) systematic[j] = out.data() + j * ssize;
   for (std::size_t r = 0; r + k_ < n_; ++r) {
-    combine(f, &parity_[r * k_], systematic, shares[k_ + r].data(), ssize);
+    combine(f, &parity_[r * k_], systematic, out.data() + (k_ + r) * ssize,
+            ssize);
   }
-  return shares;
 }
 
-std::optional<Bytes> ReedSolomon::decode(
-    const std::vector<std::pair<std::size_t, Bytes>>& shares,
-    std::size_t data_size) const {
+std::optional<Bytes> ReedSolomon::decode(std::span<const ShareView> shares,
+                                         std::size_t data_size) const {
   COCA_OBS_SPAN("rs.decode", "kernel");
   const std::size_t ssize = share_size(data_size);
   std::vector<Elem> xs;
-  std::vector<const Bytes*> payload;
-  if (!select_shares(n_, k_, ssize, shares, &xs, &payload)) {
-    return std::nullopt;
-  }
+  std::vector<const std::uint8_t*> in;
+  if (!select_shares(n_, k_, ssize, shares, &xs, &in)) return std::nullopt;
 
   // Column p (data symbols p, k+p, 2k+p, ...) is share p verbatim when
   // share p was selected -- in the common all-systematic decode that is
   // every column, and the decode is the interleave below. A missing column
   // is one linear combination of the selected shares.
-  std::vector<const std::uint8_t*> in(k_);
   std::vector<const std::uint8_t*> cols(k_, nullptr);
   for (std::size_t j = 0; j < k_; ++j) {
-    in[j] = payload[j]->data();
     if (xs[j] < k_) cols[xs[j]] = in[j];
   }
   std::vector<Elem> missing;
@@ -355,9 +359,10 @@ std::optional<Bytes> ReedSolomon::decode(
   }
   const GF16& f = GF16::instance();
   const auto rows = lagrange_rows(f, xs, missing);
-  Bytes computed(missing.size() * ssize, 0);
+  const auto computed =
+      std::make_unique_for_overwrite<std::uint8_t[]>(missing.size() * ssize);
   for (std::size_t r = 0; r < missing.size(); ++r) {
-    std::uint8_t* col = computed.data() + r * ssize;
+    std::uint8_t* col = computed.get() + r * ssize;
     combine(f, &rows[r * k_], in, col, ssize);
     cols[missing[r]] = col;
   }

@@ -14,8 +14,9 @@
 // Cost: the constructor computes the n - k parity rows from barycentric
 // weights (O(k^2) once, then O(k) per row); decode does the same over the
 // selected shares, for the points whose systematic share is missing (none
-// when every selected share is systematic). Encode copies the systematic
-// shares out in one chunk-major pass and computes each parity share as one
+// when every selected share is systematic). Encode writes into one
+// caller-owned buffer of n shares: it copies the systematic shares out in
+// one chunk-major pass and computes each parity share as one
 // linear combination of them: through the `MulBy` SIMD kernels for wide
 // shares, symbol by symbol below 448-byte shares, where a kernel table
 // build would cost more than it saves. Decode mirrors it and interleaves
@@ -23,13 +24,20 @@
 #pragma once
 
 #include <optional>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "codec/gf16.h"
 #include "util/common.h"
 
 namespace coca::codec {
+
+/// One share handed to decode: its index (evaluation point) and a view of
+/// its bytes, which the caller keeps alive for the call.
+struct ShareView {
+  std::size_t index = 0;
+  std::span<const std::uint8_t> bytes;
+};
 
 class ReedSolomon {
  public:
@@ -45,17 +53,20 @@ class ReedSolomon {
     return 2 * std::max<std::size_t>(1, ceil_div(data_size, 2 * k_));
   }
 
-  /// RS.ENCODE: n shares; share i is the evaluation at point i.
-  std::vector<Bytes> encode(const Bytes& data) const;
+  /// RS.ENCODE: writes the n shares of `data` back to back into `out`,
+  /// which must hold exactly n * share_size(data.size()) bytes; share i,
+  /// the evaluation at point i, is the i-th share_size-byte slice. Every
+  /// byte of `out` is written, so it need not be initialised.
+  void encode(std::span<const std::uint8_t> data,
+              std::span<std::uint8_t> out) const;
 
-  /// RS.DECODE: reconstruct a `data_size`-byte payload from >= k shares
-  /// given as (share index, share bytes) pairs. Returns nullopt when the
-  /// input is unusable (too few distinct valid-size shares, bad indices).
-  /// Inconsistent-but-plausible shares yield a wrong payload, as with real
-  /// RS erasure decoding; callers authenticate shares beforehand.
-  std::optional<Bytes> decode(
-      const std::vector<std::pair<std::size_t, Bytes>>& shares,
-      std::size_t data_size) const;
+  /// RS.DECODE: reconstruct a `data_size`-byte payload from >= k shares.
+  /// Returns nullopt when the input is unusable (too few distinct
+  /// valid-size shares, bad indices). Inconsistent-but-plausible shares
+  /// yield a wrong payload, as with real RS erasure decoding; callers
+  /// authenticate shares beforehand.
+  std::optional<Bytes> decode(std::span<const ShareView> shares,
+                              std::size_t data_size) const;
 
  private:
   std::size_t n_;
@@ -74,12 +85,12 @@ class ReedSolomon {
 /// invariant (the wire format is pinned by replay corpora and transcripts).
 namespace ref_ {
 
-std::vector<Bytes> encode(std::size_t n, std::size_t k, const Bytes& data);
+/// The n shares back to back, laid out as ReedSolomon::encode writes them.
+Bytes encode(std::size_t n, std::size_t k, std::span<const std::uint8_t> data);
 
-std::optional<Bytes> decode(
-    std::size_t n, std::size_t k,
-    const std::vector<std::pair<std::size_t, Bytes>>& shares,
-    std::size_t data_size);
+std::optional<Bytes> decode(std::size_t n, std::size_t k,
+                            std::span<const ShareView> shares,
+                            std::size_t data_size);
 
 }  // namespace ref_
 

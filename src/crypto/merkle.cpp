@@ -40,7 +40,7 @@ std::size_t MerkleTree::depth(std::size_t leaf_count) {
 MerkleTree MerkleTree::build_views(
     std::span<const std::span<const std::uint8_t>> leaves) {
   COCA_OBS_SPAN("merkle.build", "kernel");
-  require(!leaves.empty(), "MerkleTree::build: need at least one leaf");
+  require(!leaves.empty(), "MerkleTree::build_views: need at least one leaf");
   MerkleTree t;
   t.leaf_count_ = leaves.size();
   t.width_ = std::size_t{1} << depth(leaves.size());
@@ -63,13 +63,6 @@ MerkleTree MerkleTree::build_views(
   return t;
 }
 
-MerkleTree MerkleTree::build(const std::vector<Bytes>& leaves) {
-  std::vector<std::span<const std::uint8_t>> views;
-  views.reserve(leaves.size());
-  for (const Bytes& leaf : leaves) views.emplace_back(leaf.data(), leaf.size());
-  return build_views(std::span<const std::span<const std::uint8_t>>(views));
-}
-
 MerkleWitness MerkleTree::witness(std::size_t index) const {
   require(index < leaf_count_, "MerkleTree::witness: index out of range");
   MerkleWitness w;
@@ -81,7 +74,8 @@ MerkleWitness MerkleTree::witness(std::size_t index) const {
 }
 
 bool MerkleTree::verify(const Digest& root, std::size_t leaf_count,
-                        std::size_t index, const Bytes& leaf,
+                        std::size_t index,
+                        std::span<const std::uint8_t> leaf,
                         const MerkleWitness& witness) {
   COCA_OBS_SPAN("merkle.verify", "kernel");
   if (leaf_count == 0 || index >= leaf_count) return false;

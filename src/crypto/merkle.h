@@ -18,15 +18,11 @@ using MerkleWitness = std::vector<Digest>;
 
 class MerkleTree {
  public:
-  /// MT.BUILD: builds the tree over `leaves` (padded to a power of two with
-  /// a fixed empty-leaf digest). Requires at least one leaf.
-  static MerkleTree build(const std::vector<Bytes>& leaves);
-
-  /// MT.BUILD over borrowed byte views: identical tree, but callers hashing
-  /// slices of a larger buffer (e.g. Reed-Solomon share views) need not
-  /// materialize per-leaf Bytes copies. The whole build runs through one
-  /// reused hash context. (Distinct name: a `build({})` call must stay
-  /// unambiguous.)
+  /// MT.BUILD: builds the tree over the borrowed `leaves` (padded to a
+  /// power of two with a fixed empty-leaf digest), so callers hashing
+  /// slices of a larger buffer (Reed-Solomon shares) copy no leaf. The
+  /// whole build runs through one reused hash context. Requires at least
+  /// one leaf.
   static MerkleTree build_views(
       std::span<const std::span<const std::uint8_t>> leaves);
 
@@ -42,7 +38,7 @@ class MerkleTree {
   /// `index`-th of `leaf_count` leaves under root `root`.
   /// Robust against malformed witnesses (wrong length, bad index).
   static bool verify(const Digest& root, std::size_t leaf_count,
-                     std::size_t index, const Bytes& leaf,
+                     std::size_t index, std::span<const std::uint8_t> leaf,
                      const MerkleWitness& witness);
 
   /// Depth of (= witness size for) a tree with `leaf_count` leaves.
@@ -50,9 +46,6 @@ class MerkleTree {
 
   /// Domain-separated leaf hash: H(0x00 || data).
   static Digest leaf_hash(std::span<const std::uint8_t> data);
-  static Digest leaf_hash(const Bytes& data) {
-    return leaf_hash(std::span<const std::uint8_t>(data.data(), data.size()));
-  }
 
  private:
   MerkleTree() = default;

@@ -136,6 +136,15 @@ Bitstring Bitstring::substr(std::size_t pos, std::size_t len) const {
   return out;
 }
 
+void Bitstring::append_packed(std::size_t pos, std::size_t len,
+                              Bytes& out) const {
+  require(pos <= nbits_ && len <= nbits_ - pos,
+          "Bitstring::append_packed: range out of bounds");
+  const std::size_t at = out.size();
+  out.resize(at + ceil_div(len, 8), 0);
+  if (len > 0) copy_bits(out.data() + at, 0, bytes_.data(), pos, len);
+}
+
 bool Bitstring::has_prefix(const Bitstring& p) const {
   if (p.nbits_ > nbits_) return false;
   // Compare whole bytes first, then the ragged tail.

@@ -50,6 +50,9 @@ class Bitstring {
 
   /// Bits [pos, pos+len) as a new bitstring.
   Bitstring substr(std::size_t pos, std::size_t len) const;
+  /// Appends bits [pos, pos+len) to `out`, packed MSB-first with zero pad
+  /// bits: the bytes of `substr(pos, len).packed()`, without the substring.
+  void append_packed(std::size_t pos, std::size_t len, Bytes& out) const;
   /// First `len` bits.
   Bitstring prefix(std::size_t len) const { return substr(0, len); }
   /// True iff `p` is a prefix of *this.

@@ -71,6 +71,13 @@ class Writer {
     raw(b.packed());
   }
 
+  /// The `bitstring` field of `b.substr(pos, len)`, written from `b`.
+  void bitstring(const Bitstring& b, std::size_t pos, std::size_t len) {
+    buf_.reserve(buf_.size() + 8 + ceil_div(len, 8));
+    u64(len);
+    b.append_packed(pos, len, buf_);
+  }
+
   void bignat(const BigNat& v) { bitstring(v.to_bits(v.bit_length())); }
 
   Bytes take() && { return std::move(buf_); }

@@ -1,6 +1,7 @@
 // GF(2^16) field axioms and Reed-Solomon erasure-coding tests.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "codec/gf16.h"
@@ -9,6 +10,21 @@
 
 namespace coca::codec {
 namespace {
+
+/// The n shares of `data` back to back, encoded into a buffer pre-filled
+/// with `fill`, so a byte the encoder fails to write shows.
+Bytes encode(const ReedSolomon& rs, const Bytes& data,
+             std::uint8_t fill = 0xA5) {
+  Bytes out(rs.n() * rs.share_size(data.size()), fill);
+  rs.encode(data, out);
+  return out;
+}
+
+/// Share `i` of an `encode` result with `ssize`-byte shares.
+std::span<const std::uint8_t> share(const Bytes& coded, std::size_t ssize,
+                                    std::size_t i) {
+  return std::span<const std::uint8_t>(coded).subspan(i * ssize, ssize);
+}
 
 TEST(GF16, TableConsistency) {
   const GF16& f = GF16::instance();
@@ -56,9 +72,9 @@ TEST_P(RSRoundTrip, AnyKSharesReconstruct) {
   Rng rng(static_cast<std::uint64_t>(n) * 1000 + t);
   for (const std::size_t size : {1u, 2u, 3u, 17u, 64u, 257u, 1000u}) {
     const Bytes data = rng.bytes(size);
-    const auto shares = rs.encode(data);
-    ASSERT_EQ(shares.size(), static_cast<std::size_t>(n));
-    for (const auto& s : shares) EXPECT_EQ(s.size(), rs.share_size(size));
+    const std::size_t ssize = rs.share_size(size);
+    const Bytes coded = encode(rs, data);
+    ASSERT_EQ(coded.size(), static_cast<std::size_t>(n) * ssize);
 
     // Reconstruct from a random k-subset.
     std::vector<std::size_t> idx(static_cast<std::size_t>(n));
@@ -66,9 +82,9 @@ TEST_P(RSRoundTrip, AnyKSharesReconstruct) {
     for (std::size_t i = idx.size(); i-- > 1;) {
       std::swap(idx[i], idx[rng.below(i + 1)]);
     }
-    std::vector<std::pair<std::size_t, Bytes>> subset;
+    std::vector<ShareView> subset;
     for (std::size_t i = 0; i < k; ++i) {
-      subset.emplace_back(idx[i], shares[idx[i]]);
+      subset.push_back({idx[i], share(coded, ssize, idx[i])});
     }
     const auto decoded = rs.decode(subset, size);
     ASSERT_TRUE(decoded.has_value());
@@ -90,9 +106,10 @@ TEST(ReedSolomon, SystematicPrefix) {
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::uint8_t>(i + 1);
   }
-  const auto shares = rs.encode(data);  // one chunk of 5 symbols
+  const Bytes coded = encode(rs, data);  // one chunk of 5 symbols
   for (std::size_t j = 0; j < 5; ++j) {
-    EXPECT_EQ(shares[j], Bytes({data[2 * j], data[2 * j + 1]}));
+    EXPECT_EQ(Bytes(coded.begin() + 2 * j, coded.begin() + 2 * j + 2),
+              Bytes({data[2 * j], data[2 * j + 1]}));
   }
 }
 
@@ -100,17 +117,22 @@ TEST(ReedSolomon, DecodeFromParityOnly) {
   const ReedSolomon rs(10, 4);
   Rng rng(77);
   const Bytes data = rng.bytes(100);
-  const auto shares = rs.encode(data);
-  std::vector<std::pair<std::size_t, Bytes>> parity;
-  for (std::size_t j = 6; j < 10; ++j) parity.emplace_back(j, shares[j]);
+  const Bytes coded = encode(rs, data);
+  const std::size_t ssize = rs.share_size(data.size());
+  std::vector<ShareView> parity;
+  for (std::size_t j = 6; j < 10; ++j) {
+    parity.push_back({j, share(coded, ssize, j)});
+  }
   EXPECT_EQ(rs.decode(parity, data.size()), data);
 }
 
 TEST(ReedSolomon, DecodeRejectsTooFewShares) {
   const ReedSolomon rs(7, 5);
-  const auto shares = rs.encode(Bytes(20, 0xAB));
-  std::vector<std::pair<std::size_t, Bytes>> few;
-  for (std::size_t j = 0; j < 4; ++j) few.emplace_back(j, shares[j]);
+  const Bytes coded = encode(rs, Bytes(20, 0xAB));
+  std::vector<ShareView> few;
+  for (std::size_t j = 0; j < 4; ++j) {
+    few.push_back({j, share(coded, rs.share_size(20), j)});
+  }
   EXPECT_EQ(rs.decode(few, 20), std::nullopt);
 }
 
@@ -118,12 +140,16 @@ TEST(ReedSolomon, DecodeIgnoresBadIndicesAndSizes) {
   const ReedSolomon rs(7, 5);
   Rng rng(78);
   const Bytes data = rng.bytes(33);
-  const auto shares = rs.encode(data);
-  std::vector<std::pair<std::size_t, Bytes>> pool;
-  pool.emplace_back(99, shares[0]);                  // bad index
-  pool.emplace_back(0, Bytes{0x01});                 // bad size
-  for (std::size_t j = 0; j < 5; ++j) pool.emplace_back(j, shares[j]);
-  pool.emplace_back(0, shares[0]);                   // duplicate index
+  const Bytes coded = encode(rs, data);
+  const std::size_t ssize = rs.share_size(data.size());
+  const Bytes tiny{0x01};
+  std::vector<ShareView> pool;
+  pool.push_back({99, share(coded, ssize, 0)});  // bad index
+  pool.push_back({0, tiny});                     // bad size
+  for (std::size_t j = 0; j < 5; ++j) {
+    pool.push_back({j, share(coded, ssize, j)});
+  }
+  pool.push_back({0, share(coded, ssize, 0)});  // duplicate index
   EXPECT_EQ(rs.decode(pool, data.size()), data);
 }
 
@@ -254,7 +280,7 @@ TEST(ReedSolomon, EncodeMatchesReferenceAcrossSizes) {
     const ReedSolomon rs(n, k);
     for (const std::size_t size : sizes) {
       const Bytes data = rng.bytes(size);
-      ASSERT_EQ(rs.encode(data), ref_::encode(n, k, data))
+      ASSERT_EQ(encode(rs, data), ref_::encode(n, k, data))
           << "n=" << n << " k=" << k << " size=" << size;
     }
   }
@@ -267,19 +293,23 @@ TEST(ReedSolomon, DecodeMatchesReferenceOnAdversarialShareLists) {
     const ReedSolomon rs(n, k);
     for (const std::size_t size : {1u, 40u, 511u, 513u, 2048u, 9973u}) {
       const Bytes data = rng.bytes(size);
-      const auto shares = rs.encode(data);
+      const std::size_t ssize = rs.share_size(size);
+      const Bytes coded = encode(rs, data);
       // Adversarial list: shuffled order, a duplicate index with different
       // bytes, an out-of-range index, a wrong-size share -- the decoders
       // must make identical keep/ignore decisions.
-      std::vector<std::pair<std::size_t, Bytes>> pool;
+      std::vector<ShareView> pool;
       std::vector<std::size_t> idx(n);
       for (std::size_t i = 0; i < n; ++i) idx[i] = i;
       for (std::size_t i = n; i-- > 1;) std::swap(idx[i], idx[rng.below(i + 1)]);
-      for (std::size_t i = 0; i < k; ++i) pool.emplace_back(idx[i], shares[idx[i]]);
-      pool.insert(pool.begin() + 1,
-                  {pool[0].first, rng.bytes(pool[0].second.size())});
-      pool.emplace_back(n + 5, shares[0]);
-      pool.emplace_back(idx[k % n], Bytes{0x01});
+      for (std::size_t i = 0; i < k; ++i) {
+        pool.push_back({idx[i], share(coded, ssize, idx[i])});
+      }
+      const Bytes forged = rng.bytes(ssize);
+      const Bytes tiny{0x01};
+      pool.insert(pool.begin() + 1, {pool[0].index, forged});
+      pool.push_back({n + 5, share(coded, ssize, 0)});
+      pool.push_back({idx[k % n], tiny});
       const auto fast = rs.decode(pool, size);
       const auto ref = ref_::decode(n, k, pool, size);
       ASSERT_EQ(fast, ref) << "n=" << n << " size=" << size;
@@ -287,9 +317,11 @@ TEST(ReedSolomon, DecodeMatchesReferenceOnAdversarialShareLists) {
     }
     // Too-few-shares rejection must agree as well.
     const Bytes data = rng.bytes(100);
-    const auto shares = rs.encode(data);
-    std::vector<std::pair<std::size_t, Bytes>> few;
-    for (std::size_t i = 0; i + 1 < k; ++i) few.emplace_back(i, shares[i]);
+    const Bytes coded = encode(rs, data);
+    std::vector<ShareView> few;
+    for (std::size_t i = 0; i + 1 < k; ++i) {
+      few.push_back({i, share(coded, rs.share_size(100), i)});
+    }
     ASSERT_EQ(rs.decode(few, 100), std::nullopt);
     ASSERT_EQ(ref_::decode(n, k, few, 100), std::nullopt);
   }
@@ -303,12 +335,15 @@ TEST(ReedSolomon, WideInputShapeMatchesReference) {
   const ReedSolomon rs(n, k);
   Rng rng(96);
   const Bytes data = rng.bytes((std::size_t{1} << 19) + 8);
-  const auto shares = rs.encode(data);
-  ASSERT_EQ(shares, ref_::encode(n, k, data));
+  const Bytes coded = encode(rs, data);
+  ASSERT_EQ(coded, ref_::encode(n, k, data));
   // Shares 2..6: both parity shares stand in for systematic shares 0 and
   // 1, so two columns are interpolated and three are copied.
-  std::vector<std::pair<std::size_t, Bytes>> pool;
-  for (std::size_t i = n - k; i < n; ++i) pool.emplace_back(i, shares[i]);
+  const std::size_t ssize = rs.share_size(data.size());
+  std::vector<ShareView> pool;
+  for (std::size_t i = n - k; i < n; ++i) {
+    pool.push_back({i, share(coded, ssize, i)});
+  }
   const auto decoded = rs.decode(pool, data.size());
   ASSERT_EQ(decoded, ref_::decode(n, k, pool, data.size()));
   ASSERT_EQ(decoded, data);
@@ -319,7 +354,74 @@ TEST(ReedSolomon, DeterministicEncoding) {
   // codewords (hence the same Merkle root at every honest party).
   const ReedSolomon rs(13, 9);
   const Bytes data(500, 0x5A);
-  EXPECT_EQ(rs.encode(data), rs.encode(data));
+  EXPECT_EQ(encode(rs, data), encode(rs, data));
+}
+
+// The codes the two tests below run: no parity, one parity share, n = 7 as
+// on piz_wide_input, n - k >= k (so a parity-only selection exists), and
+// n = 31.
+constexpr std::pair<std::size_t, std::size_t> kOverwriteCodes[] = {
+    {1, 1}, {2, 1}, {4, 3}, {7, 5}, {10, 4}, {31, 21}};
+
+// Payload sizes with shares on both sides of the 448-byte threshold where
+// combine() switches from its symbol loop to the MulBy kernels.
+std::vector<std::size_t> overwrite_sizes(std::size_t k) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t b = 0; b <= 300; ++b) sizes.push_back(b);
+  for (const std::size_t b : {446 * k, 446 * k + 1, 448 * k + 3}) {
+    sizes.push_back(b);
+  }
+  sizes.push_back(64 * 1024);
+  return sizes;
+}
+
+// encode writes every byte of its output: into a buffer pre-filled with
+// 0xA5 and one pre-filled with 0x5A it writes the reference codewords.
+TEST(ReedSolomon, EncodeWritesEveryByte) {
+  Rng rng(97);
+  for (const auto& [n, k] : kOverwriteCodes) {
+    const ReedSolomon rs(n, k);
+    for (const std::size_t size : overwrite_sizes(k)) {
+      const Bytes data = rng.bytes(size);
+      const Bytes want = ref_::encode(n, k, data);
+      ASSERT_EQ(encode(rs, data, 0xA5), want)
+          << "n=" << n << " k=" << k << " size=" << size;
+      ASSERT_EQ(encode(rs, data, 0x5A), want)
+          << "n=" << n << " k=" << k << " size=" << size;
+    }
+  }
+}
+
+// Decode over share views against the reference on three selections: the
+// k systematic shares, a mix (odd indices first, then even), and parity
+// shares first (parity only where n - k >= k).
+TEST(ReedSolomon, DecodeViewsMatchReference) {
+  Rng rng(98);
+  for (const auto& [n, k] : kOverwriteCodes) {
+    const ReedSolomon rs(n, k);
+    std::vector<std::size_t> systematic;
+    std::vector<std::size_t> mixed;
+    std::vector<std::size_t> parity_first;
+    for (std::size_t i = 0; i < k; ++i) systematic.push_back(i);
+    for (std::size_t i = 1; i < n; i += 2) mixed.push_back(i);
+    for (std::size_t i = 0; i < n; i += 2) mixed.push_back(i);
+    for (std::size_t i = n; i-- > 0;) parity_first.push_back(i);
+    for (const std::size_t size : overwrite_sizes(k)) {
+      const Bytes data = rng.bytes(size);
+      const std::size_t ssize = rs.share_size(size);
+      const Bytes coded = encode(rs, data);
+      for (const auto* order : {&systematic, &mixed, &parity_first}) {
+        std::vector<ShareView> pool;
+        for (std::size_t i = 0; i < k; ++i) {
+          pool.push_back({(*order)[i], share(coded, ssize, (*order)[i])});
+        }
+        const auto fast = rs.decode(pool, size);
+        ASSERT_EQ(fast, ref_::decode(n, k, pool, size))
+            << "n=" << n << " k=" << k << " size=" << size;
+        ASSERT_EQ(fast, data) << "n=" << n << " k=" << k << " size=" << size;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "ba/turpin_coan.h"
 #include "tests/support.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace coca::ca {
 namespace {
@@ -43,7 +44,7 @@ void check_lemma(const std::vector<std::optional<FindPrefixResult>>& outputs,
     // (i) v extends the prefix and stays in the honest range.
     EXPECT_TRUE(out->v.has_prefix(out->prefix));
     EXPECT_EQ(out->v.size(), ell);
-    EXPECT_EQ(out->v_bot.size(), ell);
+    EXPECT_EQ(out->v_bot().size(), ell);
   }
   ASSERT_NE(first, nullptr);
 
@@ -64,7 +65,7 @@ void check_lemma(const std::vector<std::optional<FindPrefixResult>>& outputs,
   }
   for (const auto& out : outputs) {
     if (!out) continue;
-    for (const Bitstring* v : {&out->v, &out->v_bot}) {
+    for (const Bitstring* v : {&out->v, &out->v_bot()}) {
       EXPECT_NE(Bitstring::numeric_compare(*v, *lo),
                 std::strong_ordering::less);
       EXPECT_NE(Bitstring::numeric_compare(*v, *hi),
@@ -82,7 +83,7 @@ void check_lemma(const std::vector<std::optional<FindPrefixResult>>& outputs,
       ext = Bitstring::min_fill(ext, first->prefix.size() + unit);
       int diverging = 0;
       for (const auto& out : outputs) {
-        if (out && !out->v_bot.has_prefix(ext)) ++diverging;
+        if (out && !out->v_bot().has_prefix(ext)) ++diverging;
       }
       EXPECT_GE(diverging, t + 1)
           << "extension " << ext.to_string() << " lacks witnesses";
@@ -251,6 +252,145 @@ TEST(FindPrefixBlocks, IterationCountLogInBlocks) {
   const auto block_run = run_variant(true);
   const auto bit_run = run_variant(false);
   EXPECT_LT(block_run.stats.rounds, bit_run.stats.rounds);
+}
+
+// ---- Differential test: the search's lazy v_bot against the copy-based
+// search it replaced, which copied v into v_bot up front and on every
+// bottom, and cut each window out of v with substr before encoding it.
+
+struct RefResult {
+  Bitstring prefix;
+  Bitstring v;
+  Bitstring v_bot;
+  bool bottom_before_fill = false;  // a bottom, then later a fill
+  bool bottom_after_fill = false;   // a fill, then later a bottom
+};
+
+RefResult reference_search(net::PartyContext& ctx,
+                           const ba::LongBAPlus& lba_plus,
+                           std::size_t total_units, std::size_t unit,
+                           Bitstring v) {
+  std::size_t left = 1;
+  std::size_t right = total_units + 1;
+  Bitstring v_bot = v;
+  Bitstring prefix;
+  bool bottom = false;
+  bool filled = false;
+  RefResult out;
+  while (left != right) {
+    const std::size_t mid = (left + right) / 2;
+    const std::size_t len = (mid - left + 1) * unit;
+    const Bitstring window = v.substr((left - 1) * unit, len);
+    Writer w;
+    w.bitstring(window);
+    const auto agreed_bytes = lba_plus.run(ctx, std::move(w).take());
+    std::optional<Bitstring> agreed;
+    if (agreed_bytes) {
+      Reader r(*agreed_bytes);
+      agreed = r.bitstring();
+      if (!agreed || !r.at_end() || agreed->size() != len) agreed.reset();
+    }
+    if (!agreed) {
+      v_bot = v;
+      right = mid;
+      bottom = true;
+      out.bottom_after_fill |= filled;
+    } else {
+      prefix.append(*agreed);
+      const std::size_t agree = Bitstring::common_prefix_len(v, prefix);
+      if (agree < prefix.size()) {
+        v = v.bit(agree) ? Bitstring::max_fill(prefix, v.size())
+                         : Bitstring::min_fill(prefix, v.size());
+        filled = true;
+        out.bottom_before_fill |= bottom;
+      }
+      left = mid + 1;
+    }
+  }
+  out.prefix = std::move(prefix);
+  out.v = std::move(v);
+  out.v_bot = std::move(v_bot);
+  return out;
+}
+
+// Inputs drawn from three values that share a seeded-length prefix, so
+// some windows are agreed (and diverging parties fill) while others end
+// in bottom.
+std::vector<Bitstring> clustered_inputs(Rng& rng, int n, std::size_t ell) {
+  const Bitstring head = rng.bits(rng.below(ell / 2));
+  std::vector<Bitstring> pool;
+  for (int i = 0; i < 3; ++i) {
+    Bitstring v = head;
+    v.append(rng.bits(ell - head.size()));
+    pool.push_back(std::move(v));
+  }
+  std::vector<Bitstring> inputs;
+  for (int i = 0; i < n; ++i) inputs.push_back(pool[rng.below(3)]);
+  return inputs;
+}
+
+TEST(FindPrefixDifferential, LazyWitnessMatchesCopyingSearch) {
+  bool bottom_before_fill = false;
+  bool bottom_after_fill = false;
+  Fixture f;
+  for (const bool blocks : {false, true}) {
+    for (const int n : {4, 7}) {
+      const int t = max_t(n);
+      const std::size_t num_blocks = static_cast<std::size_t>(n) * n;
+      const std::size_t ell = blocks ? num_blocks * 3 : 24;
+      const std::size_t units = blocks ? num_blocks : ell;
+      const std::size_t unit = ell / units;
+      for (const bool byzantine : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+          Rng rng(seed * 131 + static_cast<std::uint64_t>(n) + blocks);
+          const auto inputs = clustered_inputs(rng, n, ell);
+          std::set<int> byz;
+          if (byzantine) {
+            for (int i = 0; i < t; ++i) byz.insert(n - 1 - i);
+          }
+          const auto strategy =
+              [](int id) -> std::shared_ptr<net::ByzantineStrategy> {
+            return id % 2 ? std::static_pointer_cast<net::ByzantineStrategy>(
+                                std::make_shared<adv::Replay>())
+                          : std::make_shared<adv::Garbage>();
+          };
+          const auto input = [&](int id) {
+            return inputs[static_cast<std::size_t>(id)];
+          };
+          const auto got = run_parties<FindPrefixResult>(
+              n, t,
+              [&](net::PartyContext& ctx, int id) {
+                return blocks ? find_prefix_blocks(ctx, f.lba, ell,
+                                                   num_blocks, input(id))
+                              : find_prefix(ctx, f.lba, ell, input(id));
+              },
+              byz, strategy);
+          const auto want = run_parties<RefResult>(
+              n, t,
+              [&](net::PartyContext& ctx, int id) {
+                return reference_search(ctx, f.lba, units, unit, input(id));
+              },
+              byz, strategy);
+          EXPECT_EQ(got.stats.rounds, want.stats.rounds);
+          for (std::size_t id = 0; id < got.outputs.size(); ++id) {
+            ASSERT_EQ(got.outputs[id].has_value(),
+                      want.outputs[id].has_value());
+            if (!got.outputs[id]) continue;
+            const FindPrefixResult& g = *got.outputs[id];
+            const RefResult& w = *want.outputs[id];
+            ASSERT_EQ(g.prefix, w.prefix) << "seed " << seed << " id " << id;
+            ASSERT_EQ(g.v, w.v) << "seed " << seed << " id " << id;
+            ASSERT_EQ(g.v_bot(), w.v_bot) << "seed " << seed << " id " << id;
+            bottom_before_fill |= w.bottom_before_fill;
+            bottom_after_fill |= w.bottom_after_fill;
+          }
+        }
+      }
+    }
+  }
+  // The runs reach both orders of bottom and fill.
+  EXPECT_TRUE(bottom_before_fill);
+  EXPECT_TRUE(bottom_after_fill);
 }
 
 }  // namespace
