@@ -44,29 +44,49 @@ BENCHMARK(BM_Sha256)
 void BM_MerkleBuild(benchmark::State& state) {
   Rng rng(2);
   std::vector<Bytes> leaves;
-  for (int i = 0; i < state.range(0); ++i) leaves.push_back(rng.bytes(128));
+  for (int i = 0; i < state.range(0); ++i) {
+    leaves.push_back(rng.bytes(static_cast<std::size_t>(state.range(1))));
+  }
   const std::vector<std::span<const std::uint8_t>> views(leaves.begin(),
                                                          leaves.end());
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::MerkleTree::build_views(views));
   }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0) * state.range(1));
 }
-BENCHMARK(BM_MerkleBuild)->Arg(8)->Arg(32)->Arg(128)->Arg(1024);
+// (leaves, leaf bytes). (7, 104860) is lBA+'s build on piz_wide_input:
+// seven ~100 KiB Reed-Solomon shares.
+BENCHMARK(BM_MerkleBuild)
+    ->Args({8, 128})
+    ->Args({32, 128})
+    ->Args({128, 128})
+    ->Args({1024, 128})
+    ->Args({7, 104860});
 
-void BM_MerkleVerify(benchmark::State& state) {
+// Every witness of one tree through one verifier: what each party of
+// lBA+'s distribute step does against the agreed root.
+void BM_MerkleVerifyAll(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
   std::vector<Bytes> leaves;
-  for (int i = 0; i < state.range(0); ++i) leaves.push_back(rng.bytes(128));
+  for (std::size_t i = 0; i < n; ++i) leaves.push_back(rng.bytes(128));
   const std::vector<std::span<const std::uint8_t>> views(leaves.begin(),
                                                          leaves.end());
   const auto tree = crypto::MerkleTree::build_views(views);
-  const auto witness = tree.witness(1);
+  std::vector<crypto::MerkleWitness> witnesses;
+  for (std::size_t i = 0; i < n; ++i) witnesses.push_back(tree.witness(i));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::MerkleTree::verify(
-        tree.root(), leaves.size(), 1, leaves[1], witness));
+    crypto::MerkleRootVerifier verifier(tree.root(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!verifier.verify(i, leaves[i], witnesses[i])) {
+        state.SkipWithError("honest witness rejected");
+        return;
+      }
+    }
   }
 }
-BENCHMARK(BM_MerkleVerify)->Arg(32)->Arg(1024);
+BENCHMARK(BM_MerkleVerifyAll)->Arg(7)->Arg(31);
 
 void BM_RSEncode(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

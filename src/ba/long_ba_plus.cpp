@@ -1,7 +1,6 @@
 #include "ba/long_ba_plus.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 
 #include "codec/reed_solomon.h"
@@ -13,26 +12,24 @@ namespace {
 
 using crypto::Digest;
 using crypto::MerkleTree;
-using crypto::MerkleWitness;
 
+/// `witness` is in wire form (crypto::MerkleWitness): 32 bytes per level.
 Bytes encode_tuple(std::size_t index, std::span<const std::uint8_t> share,
-                   const MerkleWitness& witness) {
+                   std::span<const std::uint8_t> witness) {
   Writer w;
   w.u32(narrow<std::uint32_t>(index));
   w.bytes(share);
-  w.u8(narrow<std::uint8_t>(witness.size()));
-  for (const Digest& d : witness) {
-    w.raw(std::span<const std::uint8_t>(d.data(), d.size()));
-  }
+  w.u8(narrow<std::uint8_t>(witness.size() / 32));
+  w.raw(witness);
   return std::move(w).take();
 }
 
-/// A received (index, share, witness) tuple; `share` is a view into the
-/// message it came in, which must outlive the tuple.
+/// A received (index, share, witness) tuple; `share` and `witness` are
+/// views into the message it came in, which must outlive the tuple.
 struct Tuple {
   std::size_t index;
   std::span<const std::uint8_t> share;
-  MerkleWitness witness;
+  std::span<const std::uint8_t> witness;
 };
 
 std::optional<Tuple> decode_tuple(std::span<const std::uint8_t> raw) {
@@ -45,11 +42,7 @@ std::optional<Tuple> decode_tuple(std::span<const std::uint8_t> raw) {
   if (!wlen || r.remaining() != static_cast<std::size_t>(*wlen) * 32) {
     return std::nullopt;
   }
-  MerkleWitness witness(*wlen);
-  for (auto& d : witness) {
-    for (auto& byte : d) byte = *r.u8();
-  }
-  return Tuple{*index, *share, std::move(witness)};
+  return Tuple{*index, *share, raw.last(r.remaining())};
 }
 
 /// This thread's code for the last (n, k) it was asked for. Every party of
@@ -127,18 +120,18 @@ MaybeBytes LongBAPlus::run(net::PartyContext& ctx,
       ctx.send(narrow<int>(j), encode_tuple(j, shares[j], tree.witness(j)));
     }
   }
-  const auto is_valid = [&](const Tuple& tup) {
-    return tup.index < n && MerkleTree::verify(z_star, n, tup.index, tup.share,
-                                               tup.witness);
-  };
-  // Received shares stay views into these inboxes until the decode.
+  // One verifier for every tuple checked against z*: the paths share
+  // their upper nodes, which it hashes once.
+  crypto::MerkleRootVerifier verifier(z_star, n);
+  // Received shares and witnesses stay views into these inboxes until the
+  // decode.
   const std::vector<net::Envelope> sent_to_me = ctx.advance();
   std::optional<Tuple> mine;
   for (const auto& e : sent_to_me) {
-    auto tup = decode_tuple(e.payload);
+    const auto tup = decode_tuple(e.payload);
     if (!tup || tup->index != static_cast<std::size_t>(ctx.id())) continue;
-    if (is_valid(*tup)) {
-      mine = std::move(*tup);
+    if (verifier.verify(tup->index, tup->share, tup->witness)) {
+      mine = *tup;
       break;
     }
   }
@@ -147,24 +140,37 @@ MaybeBytes LongBAPlus::run(net::PartyContext& ctx,
   // codewords received (any valid tuple is genuine under collision
   // resistance, whoever forwarded it).
   if (mine) ctx.send_all(encode_tuple(mine->index, mine->share, mine->witness));
-  std::map<std::size_t, std::span<const std::uint8_t>> verified;
-  if (mine) verified.emplace(mine->index, mine->share);
+  // First verified share per index; `seen` marks the indices taken.
+  std::vector<codec::ShareView> pool;
+  pool.reserve(n);
+  std::vector<bool> seen(n);
+  if (mine) {
+    pool.push_back({mine->index, mine->share});
+    seen[mine->index] = true;
+  }
   const std::vector<net::Envelope> forwarded = ctx.advance();
   for (const auto& e : forwarded) {
     const auto tup = decode_tuple(e.payload);
-    if (!tup || verified.contains(tup->index)) continue;
-    if (is_valid(*tup)) verified.emplace(tup->index, tup->share);
+    if (!tup || tup->index >= n || seen[tup->index]) continue;
+    if (verifier.verify(tup->index, tup->share, tup->witness)) {
+      pool.push_back({tup->index, tup->share});
+      seen[tup->index] = true;
+    }
   }
-  if (verified.size() < k) return std::nullopt;  // unreachable for t' <= t
+  if (pool.size() < k) return std::nullopt;  // unreachable for t' <= t
 
   // All verified shares are codewords of the z*-holder's encoding, so they
-  // share one length; decode the padded payload and strip the prefix.
-  const std::size_t share_len = verified.begin()->second.size();
-  std::vector<codec::ShareView> pool;
-  pool.reserve(verified.size());
-  for (const auto& [idx, share] : verified) {
-    if (share.size() == share_len) pool.push_back({idx, share});
-  }
+  // share one length; decode the padded payload and strip the prefix. In
+  // index order, the decode selects the same k shares whatever order they
+  // arrived in.
+  std::sort(pool.begin(), pool.end(),
+            [](const codec::ShareView& a, const codec::ShareView& b) {
+              return a.index < b.index;
+            });
+  const std::size_t share_len = pool.front().bytes.size();
+  std::erase_if(pool, [&](const codec::ShareView& s) {
+    return s.bytes.size() != share_len;
+  });
   const std::size_t padded_size = 2 * k * (share_len / 2);
   const auto padded = rs->decode(pool, padded_size);
   if (!padded) return std::nullopt;

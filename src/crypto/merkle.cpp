@@ -1,5 +1,7 @@
 #include "crypto/merkle.h"
 
+#include <cstring>
+
 #include "obs/obs.h"
 
 namespace coca::crypto {
@@ -9,14 +11,6 @@ namespace {
 constexpr std::uint8_t kLeafTag = 0x00;
 constexpr std::uint8_t kNodeTag = 0x01;
 constexpr std::uint8_t kEmptyTag = 0x02;
-
-Digest node_hash(const Digest& left, const Digest& right) {
-  Sha256 ctx;
-  ctx.update(std::span<const std::uint8_t>(&kNodeTag, 1));
-  ctx.update(std::span<const std::uint8_t>(left.data(), left.size()));
-  ctx.update(std::span<const std::uint8_t>(right.data(), right.size()));
-  return ctx.finish();
-}
 
 const Digest& empty_leaf_digest() {
   static const Digest d = sha256(std::span<const std::uint8_t>(&kEmptyTag, 1));
@@ -30,6 +24,19 @@ Digest MerkleTree::leaf_hash(std::span<const std::uint8_t> data) {
   ctx.update(std::span<const std::uint8_t>(&kLeafTag, 1));
   ctx.update(data);
   return ctx.finish();
+}
+
+Digest MerkleTree::node_hash(const std::uint8_t* left,
+                             const std::uint8_t* right) {
+  // The 65-byte input padded by hand into two blocks: 0x01 || left ||
+  // right, the 0x80 terminator, zeros, and the bit length 520.
+  std::uint8_t block[128] = {};
+  block[0] = kNodeTag;
+  std::memcpy(block + 1, left, 32);
+  std::memcpy(block + 33, right, 32);
+  block[65] = 0x80;
+  store_be64(block + 120, 65 * 8);
+  return Sha256::of_padded(block);
 }
 
 std::size_t MerkleTree::depth(std::size_t leaf_count) {
@@ -58,7 +65,8 @@ MerkleTree MerkleTree::build_views(
     t.nodes_[t.width_ + i] = empty_leaf_digest();
   }
   for (std::size_t i = t.width_; i-- > 1;) {
-    t.nodes_[i] = node_hash(t.nodes_[2 * i], t.nodes_[2 * i + 1]);
+    t.nodes_[i] =
+        node_hash(t.nodes_[2 * i].data(), t.nodes_[2 * i + 1].data());
   }
   return t;
 }
@@ -66,27 +74,52 @@ MerkleTree MerkleTree::build_views(
 MerkleWitness MerkleTree::witness(std::size_t index) const {
   require(index < leaf_count_, "MerkleTree::witness: index out of range");
   MerkleWitness w;
-  w.reserve(depth(leaf_count_));
+  w.reserve(32 * depth(leaf_count_));
   for (std::size_t node = width_ + index; node > 1; node /= 2) {
-    w.push_back(nodes_[node ^ 1]);
+    w.insert(w.end(), nodes_[node ^ 1].begin(), nodes_[node ^ 1].end());
   }
   return w;
 }
 
-bool MerkleTree::verify(const Digest& root, std::size_t leaf_count,
-                        std::size_t index,
-                        std::span<const std::uint8_t> leaf,
-                        const MerkleWitness& witness) {
+MerkleRootVerifier::MerkleRootVerifier(const Digest& root,
+                                       std::size_t leaf_count)
+    : leaf_count_(leaf_count) {
+  if (leaf_count == 0) return;
+  depth_ = MerkleTree::depth(leaf_count);
+  width_ = std::size_t{1} << depth_;
+  known_.resize(2 * width_);
+  have_.assign(2 * width_, 0);
+  known_[1] = root;
+  have_[1] = 1;
+}
+
+bool MerkleRootVerifier::verify(std::size_t index,
+                                std::span<const std::uint8_t> leaf,
+                                std::span<const std::uint8_t> witness) {
   COCA_OBS_SPAN("merkle.verify", "kernel");
-  if (leaf_count == 0 || index >= leaf_count) return false;
-  if (witness.size() != depth(leaf_count)) return false;
-  Digest h = leaf_hash(leaf);
-  std::size_t pos = index;
-  for (const Digest& sibling : witness) {
-    h = (pos & 1U) ? node_hash(sibling, h) : node_hash(h, sibling);
-    pos >>= 1;
+  if (index >= leaf_count_ || witness.size() != 32 * depth_) return false;
+  const std::size_t leaf_node = width_ + index;
+  std::size_t node = leaf_node;
+  const std::uint8_t* sibling = witness.data();
+  // Hash upward to the first proven node (the root at the latest), parking
+  // each digest and its sibling in known_ without marking them proven.
+  Digest h = MerkleTree::leaf_hash(leaf);
+  for (; !have_[node]; node /= 2, sibling += 32) {
+    known_[node] = h;
+    std::memcpy(known_[node ^ 1].data(), sibling, 32);
+    h = (node & 1U) ? MerkleTree::node_hash(sibling, h.data())
+                    : MerkleTree::node_hash(h.data(), sibling);
   }
-  return h == root;
+  if (h != known_[node]) return false;
+  // Above a proven node every sibling is proven: compare, don't hash.
+  for (std::size_t up = node; up > 1; up /= 2, sibling += 32) {
+    if (std::memcmp(sibling, known_[up ^ 1].data(), 32) != 0) return false;
+  }
+  for (std::size_t k = leaf_node; k != node; k /= 2) {
+    have_[k] = 1;
+    have_[k ^ 1] = 1;
+  }
+  return true;
 }
 
 }  // namespace coca::crypto

@@ -4,6 +4,11 @@
 // root z and provides O(kappa log n) membership witnesses: MT.BUILD and
 // MT.VERIFY in the paper's notation. Leaves and internal nodes are
 // domain-separated so a leaf cannot masquerade as an internal node.
+//
+// MT.VERIFY is a per-root object (MerkleRootVerifier): Pi_lBA+ checks up to
+// n witnesses against one agreed root, and their paths share every node
+// above the leaves, so each node is hashed once per root, not once per
+// witness.
 #pragma once
 
 #include <vector>
@@ -13,8 +18,10 @@
 
 namespace coca::crypto {
 
-/// Sibling hashes from the leaf's level up to (excluding) the root.
-using MerkleWitness = std::vector<Digest>;
+/// Sibling digests from the leaf's level up to (excluding) the root,
+/// concatenated: 32 * depth(leaf_count) bytes, the form a witness has on
+/// the wire.
+using MerkleWitness = Bytes;
 
 class MerkleTree {
  public:
@@ -34,18 +41,15 @@ class MerkleTree {
   /// Witness w_i for the i-th leaf (0-indexed).
   MerkleWitness witness(std::size_t index) const;
 
-  /// MT.VERIFY(z, i, s_i, w_i): true iff `witness` proves that `leaf` is the
-  /// `index`-th of `leaf_count` leaves under root `root`.
-  /// Robust against malformed witnesses (wrong length, bad index).
-  static bool verify(const Digest& root, std::size_t leaf_count,
-                     std::size_t index, std::span<const std::uint8_t> leaf,
-                     const MerkleWitness& witness);
-
   /// Depth of (= witness size for) a tree with `leaf_count` leaves.
   static std::size_t depth(std::size_t leaf_count);
 
   /// Domain-separated leaf hash: H(0x00 || data).
   static Digest leaf_hash(std::span<const std::uint8_t> data);
+
+  /// Domain-separated node hash: H(0x01 || left || right), each child 32
+  /// bytes.
+  static Digest node_hash(const std::uint8_t* left, const std::uint8_t* right);
 
  private:
   MerkleTree() = default;
@@ -55,6 +59,37 @@ class MerkleTree {
   // Heap layout: nodes_[1] is the root, children of k are 2k and 2k+1,
   // leaves occupy [width_, 2*width_).
   std::vector<Digest> nodes_;
+};
+
+/// MT.VERIFY(z, i, s_i, w_i) for every witness checked against one root z.
+///
+/// The verifier keeps, in the tree's heap layout, every node a successful
+/// check has proven: the nodes on the path and their siblings. A later
+/// check hashes upward only until its digest lands on a proven node; from
+/// there it compares each remaining witness sibling with the proven one
+/// (a memcmp, no hash). Under collision resistance its verdict equals the
+/// per-witness recomputation of the whole path on every input, in any
+/// order of checks. A failed check proves nothing.
+class MerkleRootVerifier {
+ public:
+  /// Witnesses against `root` for a tree of `leaf_count` leaves; with no
+  /// leaves every check fails.
+  MerkleRootVerifier(const Digest& root, std::size_t leaf_count);
+
+  /// True iff `witness` (the wire form, see MerkleWitness) proves that
+  /// `leaf` is the `index`-th leaf under the root. Robust against
+  /// malformed witnesses (wrong length, bad index).
+  bool verify(std::size_t index, std::span<const std::uint8_t> leaf,
+              std::span<const std::uint8_t> witness);
+
+ private:
+  std::size_t leaf_count_;
+  std::size_t depth_ = 0;
+  std::size_t width_ = 0;
+  // Heap layout as in MerkleTree. known_[k] is meaningful only when
+  // have_[k] is set; proven nodes come in sibling pairs, plus the root.
+  std::vector<Digest> known_;
+  std::vector<std::uint8_t> have_;
 };
 
 }  // namespace coca::crypto

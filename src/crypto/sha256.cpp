@@ -92,6 +92,8 @@ void Sha256::compress(const std::uint8_t* block) {
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
+  // An empty span may carry a null pointer, which memcpy must not see.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t off = 0;
   if (buf_len_ != 0) {
@@ -130,7 +132,17 @@ Digest Sha256::finish() {
   store_be64(buf_ + 56, total_len_ * 8);
   compress_blocks(buf_, 1);
   buf_len_ = 0;
+  return state_digest();
+}
 
+Digest Sha256::of_padded(std::span<const std::uint8_t> blocks) {
+  require(blocks.size() % 64 == 0, "Sha256::of_padded: partial block");
+  Sha256 ctx;
+  ctx.compress_blocks(blocks.data(), blocks.size() / 64);
+  return ctx.state_digest();
+}
+
+Digest Sha256::state_digest() const {
   Digest out;
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<std::uint8_t>(h_[i] >> 24);

@@ -32,11 +32,17 @@ class Sha256 {
   /// Finalizes and returns the digest; the context must be reset before reuse.
   Digest finish();
 
+  /// Digest of a message its caller already padded (FIPS 180-4 5.1.1):
+  /// `blocks` is whole 64-byte blocks, compressed from the initial state in
+  /// one call. Fixed-size inputs (Merkle node hashes) skip the buffering.
+  static Digest of_padded(std::span<const std::uint8_t> blocks);
+
  private:
   /// Compresses `nblocks` consecutive 64-byte blocks, dispatching to the
   /// SHA-NI backend when the CPU has it (same FIPS 180-4 output either way).
   void compress_blocks(const std::uint8_t* blocks, std::size_t nblocks);
   void compress(const std::uint8_t* block);
+  Digest state_digest() const;
 
   std::uint32_t h_[8] = {};
   std::uint64_t total_len_ = 0;

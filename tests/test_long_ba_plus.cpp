@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "adversary/strategies.h"
 #include "ba/phase_king.h"
 #include "ba/turpin_coan.h"
 #include "tests/support.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace coca::ba {
 namespace {
@@ -68,6 +71,139 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(4, 7, 10, 13),
                        ::testing::Values(std::size_t{1}, std::size_t{100},
                                          std::size_t{4096})));
+
+/// Re-sends the byzantine party's distribute-step (index, share, witness)
+/// tuples, recognised by their exact layout, with one field tampered; all
+/// other traffic passes unchanged.
+class TupleTamper final : public net::SendTap {
+ public:
+  enum class Mode { kWitnessLevel, kShare, kDuplicateIndex, kIndexOutOfRange };
+
+  TupleTamper(Mode mode, std::size_t n) : mode_(mode), n_(n) {}
+
+  std::size_t tampered() const { return tampered_; }
+
+  void on_send(std::size_t, int to, net::Payload payload,
+               const Emit& emit) override {
+    const auto wit = witness_offset(payload.span());
+    if (!wit) {
+      emit(to, std::move(payload));
+      return;
+    }
+    Bytes raw = std::move(payload).detach();
+    const std::size_t level = tampered_++ % ceil_log2(n_);
+    switch (mode_) {
+      case Mode::kWitnessLevel:
+        raw[*wit + 32 * level + level] ^= 0x10;
+        emit(to, net::Payload(std::move(raw)));
+        break;
+      case Mode::kShare:
+        raw[8] ^= 0x01;  // the share's first byte, after index and length
+        emit(to, net::Payload(std::move(raw)));
+        break;
+      case Mode::kDuplicateIndex: {
+        // The genuine tuple relabelled as the next index, then the genuine
+        // tuple twice: two claims on one index, and one claim repeated.
+        Bytes relabelled = raw;
+        relabelled[0] = static_cast<std::uint8_t>((raw[0] + 1) % n_);
+        emit(to, net::Payload(std::move(relabelled)));
+        emit(to, net::Payload::copy_of(raw));
+        emit(to, net::Payload(std::move(raw)));
+        break;
+      }
+      case Mode::kIndexOutOfRange: {
+        Bytes beyond = raw;
+        beyond[0] = static_cast<std::uint8_t>(n_ + raw[0]);
+        raw[3] = 0xFF;  // an index near 2^32
+        emit(to, net::Payload(std::move(beyond)));
+        emit(to, net::Payload(std::move(raw)));
+        break;
+      }
+    }
+  }
+
+ private:
+  /// Offset of the witness when `raw` is exactly a tuple of this tree's
+  /// depth (u32 index < n, u32-length share, u8 depth, 32 bytes a level).
+  std::optional<std::size_t> witness_offset(
+      std::span<const std::uint8_t> raw) const {
+    Reader r(raw);
+    const auto index = r.u32();
+    const auto share = r.bytes_view();
+    const auto wlen = r.u8();
+    if (!index || *index >= n_ || !share || !wlen ||
+        *wlen != ceil_log2(n_) || r.remaining() != 32 * std::size_t{*wlen}) {
+      return std::nullopt;
+    }
+    return raw.size() - r.remaining();
+  }
+
+  Mode mode_;
+  std::size_t n_;
+  std::size_t tampered_ = 0;
+};
+
+class LongBAPlusTamperedTuples
+    : public ::testing::TestWithParam<std::tuple<int, TupleTamper::Mode>> {};
+
+TEST_P(LongBAPlusTamperedTuples, HonestOutputIsTheInput) {
+  const auto [n, mode] = GetParam();
+  const int t = max_t(n);
+  Fixture f;
+  Rng rng(static_cast<std::uint64_t>(n) * 131 + static_cast<int>(mode));
+  const Bytes input = rng.bytes(300);
+  net::SyncNetwork net(n, t);
+  std::vector<std::optional<MaybeBytes>> outputs(static_cast<std::size_t>(n));
+  std::vector<std::shared_ptr<TupleTamper>> taps;
+  for (int id = 0; id < n; ++id) {
+    const auto body = [&f, &input](net::PartyContext& ctx) {
+      return f.lba.run(ctx, input);
+    };
+    if (id < t) {
+      taps.push_back(
+          std::make_shared<TupleTamper>(mode, static_cast<std::size_t>(n)));
+      net.set_byzantine_protocol(
+          id, [body](net::PartyContext& ctx) { (void)body(ctx); },
+          taps.back());
+    } else {
+      net.set_honest(id, [&outputs, body, id](net::PartyContext& ctx) {
+        outputs[static_cast<std::size_t>(id)] = body(ctx);
+      });
+    }
+  }
+  (void)net.run();
+  for (const auto& tap : taps) {
+    // Step 3a sends n tuples and step 3b re-broadcasts one to n parties.
+    EXPECT_EQ(tap->tampered(), 2 * static_cast<std::size_t>(n));
+  }
+  for (int id = t; id < n; ++id) {
+    const auto& out = outputs[static_cast<std::size_t>(id)];
+    ASSERT_TRUE(out && out->has_value()) << "party " << id;
+    EXPECT_EQ(**out, input) << "party " << id;
+  }
+}
+
+std::string tamper_case_name(
+    const ::testing::TestParamInfo<LongBAPlusTamperedTuples::ParamType>&
+        info) {
+  static constexpr const char* kModes[] = {"WitnessLevel", "Share",
+                                           "DuplicateIndex", "IndexOutOfRange"};
+  std::string name = "n";
+  name += std::to_string(std::get<0>(info.param));
+  name += '_';
+  name += kModes[static_cast<int>(std::get<1>(info.param))];
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, LongBAPlusTamperedTuples,
+    ::testing::Combine(
+        ::testing::Values(4, 7, 13),
+        ::testing::Values(TupleTamper::Mode::kWitnessLevel,
+                          TupleTamper::Mode::kShare,
+                          TupleTamper::Mode::kDuplicateIndex,
+                          TupleTamper::Mode::kIndexOutOfRange)),
+    tamper_case_name);
 
 TEST(LongBAPlus, IntrusionToleranceWithDistinctInputs) {
   const int n = 10;
