@@ -22,14 +22,14 @@ std::vector<net::ValueCount> top_two(std::vector<net::ValueCount> counts,
 
 }  // namespace
 
-MaybeBytes BAPlus::run(net::PartyContext& ctx, const Bytes& input) const {
+MaybeBytes BAPlus::run(net::PartyContext& ctx, Bytes input) const {
   const int n = ctx.n();
   const int t = ctx.t();
   auto phase = ctx.phase("BA+");
 
   // Line 1: distribute inputs. Any byte string counts as a value here;
   // inputs are opaque to the protocol.
-  ctx.send_all(input);
+  ctx.send_all(std::move(input));
   const auto any = [](const net::Payload&) { return true; };
 
   // Line 2: vote for every value received from >= n-2t senders.

@@ -29,8 +29,9 @@ class BAPlus {
   }
 
   /// Joins with a (non-bottom) input value; returns the agreed value or
-  /// bottom. All honest parties obtain the same result.
-  MaybeBytes run(net::PartyContext& ctx, const Bytes& input) const;
+  /// bottom. All honest parties obtain the same result. `input` is sent as
+  /// it is, so passing a temporary costs no payload copy.
+  MaybeBytes run(net::PartyContext& ctx, Bytes input) const;
 
  private:
   BAKit kit_;

@@ -13,15 +13,23 @@ namespace {
 using crypto::Digest;
 using crypto::MerkleTree;
 
-/// `witness` is in wire form (crypto::MerkleWitness): 32 bytes per level.
-Bytes encode_tuple(std::size_t index, std::span<const std::uint8_t> share,
-                   std::span<const std::uint8_t> witness) {
-  Writer w;
-  w.u32(narrow<std::uint32_t>(index));
-  w.bytes(share);
-  w.u8(narrow<std::uint8_t>(witness.size() / 32));
-  w.raw(witness);
-  return std::move(w).take();
+/// An (index, share, witness) tuple's wire form up to the witness: u32
+/// index, the share as a `bytes` field, u8 level count. The buffer is sized
+/// for the whole tuple, so the caller appends the 32 * `levels` witness
+/// bytes (crypto::MerkleWitness's wire form) without a reallocation.
+Bytes tuple_head(std::size_t index, std::span<const std::uint8_t> share,
+                 std::size_t levels) {
+  Bytes out;
+  out.reserve(4 + 4 + share.size() + 1 + 32 * levels);
+  for (const std::uint32_t v : {narrow<std::uint32_t>(index),
+                                narrow<std::uint32_t>(share.size())}) {
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  out.insert(out.end(), share.begin(), share.end());
+  out.push_back(narrow<std::uint8_t>(levels));
+  return out;
 }
 
 /// A received (index, share, witness) tuple; `share` and `witness` are
@@ -116,8 +124,11 @@ MaybeBytes LongBAPlus::run(net::PartyContext& ctx,
   auto dist_phase = ctx.phase("lBA+/distribute");
   // Step 3a: holders of the winning root send each party its codeword.
   if (z_star == z) {
+    const std::size_t levels = MerkleTree::depth(n);
     for (std::size_t j = 0; j < n; ++j) {
-      ctx.send(narrow<int>(j), encode_tuple(j, shares[j], tree.witness(j)));
+      Bytes tuple = tuple_head(j, shares[j], levels);
+      tree.append_witness(j, tuple);
+      ctx.send(narrow<int>(j), std::move(tuple));
     }
   }
   // One verifier for every tuple checked against z*: the paths share
@@ -139,7 +150,12 @@ MaybeBytes LongBAPlus::run(net::PartyContext& ctx,
   // Step 3b: re-broadcast own verified codeword; decode from all verified
   // codewords received (any valid tuple is genuine under collision
   // resistance, whoever forwarded it).
-  if (mine) ctx.send_all(encode_tuple(mine->index, mine->share, mine->witness));
+  if (mine) {
+    Bytes tuple =
+        tuple_head(mine->index, mine->share, mine->witness.size() / 32);
+    tuple.insert(tuple.end(), mine->witness.begin(), mine->witness.end());
+    ctx.send_all(std::move(tuple));
+  }
   // First verified share per index; `seen` marks the indices taken.
   std::vector<codec::ShareView> pool;
   pool.reserve(n);

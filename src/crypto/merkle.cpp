@@ -72,13 +72,17 @@ MerkleTree MerkleTree::build_views(
 }
 
 MerkleWitness MerkleTree::witness(std::size_t index) const {
-  require(index < leaf_count_, "MerkleTree::witness: index out of range");
   MerkleWitness w;
   w.reserve(32 * depth(leaf_count_));
-  for (std::size_t node = width_ + index; node > 1; node /= 2) {
-    w.insert(w.end(), nodes_[node ^ 1].begin(), nodes_[node ^ 1].end());
-  }
+  append_witness(index, w);
   return w;
+}
+
+void MerkleTree::append_witness(std::size_t index, Bytes& out) const {
+  require(index < leaf_count_, "MerkleTree::witness: index out of range");
+  for (std::size_t node = width_ + index; node > 1; node /= 2) {
+    out.insert(out.end(), nodes_[node ^ 1].begin(), nodes_[node ^ 1].end());
+  }
 }
 
 MerkleRootVerifier::MerkleRootVerifier(const Digest& root,

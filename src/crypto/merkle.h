@@ -40,6 +40,8 @@ class MerkleTree {
 
   /// Witness w_i for the i-th leaf (0-indexed).
   MerkleWitness witness(std::size_t index) const;
+  /// Appends w_i to `out`, e.g. a message already sized for it.
+  void append_witness(std::size_t index, Bytes& out) const;
 
   /// Depth of (= witness size for) a tree with `leaf_count` leaves.
   static std::size_t depth(std::size_t leaf_count);

@@ -280,6 +280,24 @@ TEST(LongBAPlus, ExtensionBeatsNaiveOnLongMessages) {
       << "extension protocol should be at least 2x cheaper at l=" << len;
 }
 
+TEST(LongBAPlus, HonestRunCopiesNoPayload) {
+  // Every honest message is sent as the buffer it was built in: BA+ moves
+  // its root input into its broadcast and each tuple is sent as built, so
+  // the engine deep-copies nothing.
+  const int n = 7;
+  Fixture f;
+  const Bytes input = Rng(7).bytes(1024 / 8);
+  auto run = run_parties<MaybeBytes>(n, max_t(n),
+                                     [&](net::PartyContext& ctx, int) {
+                                       return f.lba.run(ctx, input);
+                                     });
+  for (const auto& out : run.outputs) {
+    ASSERT_TRUE(out->has_value());
+    EXPECT_EQ(**out, input);
+  }
+  EXPECT_EQ(run.stats.payload_copies, 0u);
+}
+
 TEST(LongBAPlus, DifferentLengthInputsAgree) {
   const int n = 7;
   const int t = 2;
